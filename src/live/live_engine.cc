@@ -6,36 +6,6 @@
 #include "util/stopwatch.h"
 
 namespace aimq {
-namespace {
-
-// Same checks as Relation::Append, applied before a row may enter the
-// ingest buffer (all-or-nothing: a bad row rejects the whole batch before
-// anything is buffered).
-Status ValidateIngestRow(const Schema& schema, const Tuple& tuple) {
-  if (tuple.Size() != schema.NumAttributes()) {
-    return Status::InvalidArgument(
-        "ingest tuple arity " + std::to_string(tuple.Size()) +
-        " does not match schema arity " +
-        std::to_string(schema.NumAttributes()));
-  }
-  for (size_t i = 0; i < tuple.Size(); ++i) {
-    const Value& v = tuple.At(i);
-    if (v.is_null()) continue;
-    const AttrType type = schema.attribute(i).type;
-    if (type == AttrType::kCategorical && !v.is_categorical()) {
-      return Status::InvalidArgument("attribute '" + schema.attribute(i).name +
-                                     "' expects a categorical value");
-    }
-    if (type == AttrType::kNumeric && !v.is_numeric()) {
-      return Status::InvalidArgument("attribute '" + schema.attribute(i).name +
-                                     "' expects a numeric value");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
     const WebDatabase* initial_source, MinedKnowledge knowledge,
     LiveOptions options) {
@@ -89,16 +59,19 @@ std::unique_ptr<AimqEngine> LiveEngine::BuildEngine(
   auto engine = std::make_unique<AimqEngine>(probe_source, kv.knowledge,
                                              options_.engine);
   if (facade != nullptr) engine->SetShardRanker(facade);
-  // All versions share one probe cache; version-tagged keys keep entries
-  // from ever crossing versions (nullptr = configured pass-through).
+  // All versions share one probe cache; entries carry forward across
+  // publishes, extended over each version's new rows on lookup (nullptr =
+  // configured pass-through).
   engine->SetProbeCache(cache_);
   if (trace_ != nullptr) engine->SetTraceRecorder(trace_);
   return engine;
 }
 
 Status LiveEngine::Ingest(std::vector<Tuple> rows) {
+  // All-or-nothing: a bad row rejects the whole batch before anything is
+  // buffered.
   for (const Tuple& t : rows) {
-    AIMQ_RETURN_NOT_OK(ValidateIngestRow(schema_, t));
+    AIMQ_RETURN_NOT_OK(ValidateTuple(schema_, t, "ingest tuple"));
   }
   std::lock_guard<std::mutex> lock(ingest_mu_);
   ingested_rows_total_ += rows.size();
@@ -126,6 +99,27 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
   const std::shared_ptr<const ServingVersion> cur = Acquire();
   const uint64_t new_version = cur->snapshot_version + 1;
 
+  // Packed serving re-encodes the extended rows into a packed snapshot
+  // (bit-identical codes: ColumnarBuilder interns in the same row-major
+  // order) that continues the previous serving snapshot's lineage, so
+  // probe-cache entries carry over. The builder claims that lineage before
+  // the truth snapshot's Extend can: at the first publish of a packed
+  // source the two bases are one snapshot.
+  std::unique_ptr<ColumnarBuilder> builder;
+  if (packed_serving_) {
+    ColumnarBuilder::Options bopts;
+    bopts.store = options_.shards.store;
+    bopts.snapshot_version = new_version;
+    bopts.lineage_base = cur->source->columnar().get();
+    Result<std::unique_ptr<ColumnarBuilder>> created =
+        ColumnarBuilder::Create(schema_, std::move(bopts));
+    if (!created.ok()) {
+      restore();
+      return created.status();
+    }
+    builder = std::move(*created);
+  }
+
   Result<std::shared_ptr<const ColumnarRelation>> extended =
       ColumnarRelation::Extend(*truth_, delta, new_version);
   if (!extended.ok()) {
@@ -134,29 +128,18 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
   }
   std::shared_ptr<const ColumnarRelation> truth = std::move(*extended);
 
-  // The serving snapshot: the truth snapshot itself, or a packed re-encode
-  // of the same row stream (bit-identical codes — ColumnarBuilder interns
-  // in the same row-major order).
+  // The serving snapshot: the truth snapshot itself, or its packed
+  // re-encode.
   std::shared_ptr<const ColumnarRelation> serving = truth;
-  if (packed_serving_) {
-    ColumnarBuilder::Options bopts;
-    bopts.store = options_.shards.store;
-    bopts.snapshot_version = new_version;
-    Result<std::unique_ptr<ColumnarBuilder>> builder =
-        ColumnarBuilder::Create(schema_, std::move(bopts));
-    if (!builder.ok()) {
-      restore();
-      return builder.status();
-    }
+  if (builder != nullptr) {
     for (size_t row = 0; row < truth->NumRows(); ++row) {
-      Status s = (*builder)->AppendRow(truth->MaterializeTuple(row));
+      Status s = builder->AppendRow(truth->MaterializeTuple(row));
       if (!s.ok()) {
         restore();
         return s;
       }
     }
-    Result<std::shared_ptr<const ColumnarRelation>> packed =
-        (*builder)->Finish();
+    Result<std::shared_ptr<const ColumnarRelation>> packed = builder->Finish();
     if (!packed.ok()) {
       restore();
       return packed.status();
@@ -204,7 +187,6 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
   current_.store(std::shared_ptr<const ServingVersion>(std::move(next)),
                  std::memory_order_release);
   publishes_total_.fetch_add(1, std::memory_order_relaxed);
-  if (cache_ != nullptr) cache_->EvictVersionsBelow(new_version);
   publish_latency_.Record(timer.ElapsedSeconds());
   return new_version;
 }

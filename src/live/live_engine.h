@@ -11,13 +11,16 @@
 // answer is bit-identical to a from-scratch engine at the query's captured
 // (snapshot, knowledge) pair. See DESIGN.md §5i.
 //
-// Snapshot production is incremental (ColumnarRelation::Extend): appends
-// extend the dictionaries and columns in delta-proportional time instead of
-// re-encoding the relation, and posting lists extend the previous version's
-// lists (WebDatabase::ExtendPostingLists). The probe cache is *shared*
-// across versions — keys embed the snapshot version, so entries can never
-// cross versions; publish ages out superseded entries by version
-// (ProbeCache::EvictVersionsBelow).
+// Snapshot production is incremental (ColumnarRelation::Extend): only the
+// delta rows are interned and hashed into the canonical-row index the
+// previous version hands over, and posting lists extend the previous
+// version's lists (WebDatabase::ExtendPostingLists). The columns, posting
+// lists and knowledge are still copied per publish. Every version's
+// snapshot continues one lineage (the packed serving re-encode continues
+// the previous serving snapshot's), so the probe cache, *shared* across
+// versions, carries its entries forward: a publish evicts nothing, and an
+// entry cached at an older version is extended over the new rows on its
+// next lookup (ProbeCache).
 
 #ifndef AIMQ_LIVE_LIVE_ENGINE_H_
 #define AIMQ_LIVE_LIVE_ENGINE_H_
@@ -144,8 +147,8 @@ class LiveEngine {
 
   /// Publishes a new snapshot version containing every buffered row:
   /// extends the truth snapshot incrementally, rebuilds the serving stack
-  /// (source, postings, facade with re-planned ranges, engine), swaps it in
-  /// atomically, and ages probe-cache entries of superseded versions out.
+  /// (source, postings, facade with re-planned ranges, engine) and swaps it
+  /// in atomically. Probe-cache entries stay and are extended on lookup.
   /// Publishes even when no rows are pending (version still advances).
   /// Returns the new snapshot version.
   Result<uint64_t> PublishSnapshot();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "relation/relation.h"
@@ -18,12 +19,15 @@ static_assert(storage::kAbsentCode == ValueDict::kAbsentCode,
               "storage absent sentinel must match ValueDict");
 
 // Hash/equality over full code vectors, addressed by row index, for the
-// canonical-row grouping below.
+// canonical-row grouping below. Both read the columns through a pointer
+// the index can re-aim when an heir takes it over.
+using CodeColumns = std::vector<std::vector<ValueId>>;
+
 struct RowCodesHash {
-  const std::vector<std::vector<ValueId>>* codes;
+  const CodeColumns* const* codes;
   size_t operator()(uint32_t row) const {
     uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const auto& column : *codes) {
+    for (const auto& column : **codes) {
       h ^= column[row] + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     }
     return static_cast<size_t>(h);
@@ -31,45 +35,41 @@ struct RowCodesHash {
 };
 
 struct RowCodesEq {
-  const std::vector<std::vector<ValueId>>* codes;
+  const CodeColumns* const* codes;
   bool operator()(uint32_t a, uint32_t b) const {
-    for (const auto& column : *codes) {
+    for (const auto& column : **codes) {
       if (column[a] != column[b]) return false;
     }
     return true;
   }
 };
 
-// Validation mirroring Relation::Append: arity, then per-attribute type
-// (nulls allowed anywhere). Extend admits exactly the rows Relation would.
-Status ValidateRow(const Schema& schema, const Tuple& tuple) {
-  if (tuple.Size() != schema.NumAttributes()) {
-    return Status::InvalidArgument(
-        "tuple arity " + std::to_string(tuple.Size()) +
-        " does not match schema arity " +
-        std::to_string(schema.NumAttributes()));
-  }
-  for (size_t i = 0; i < tuple.Size(); ++i) {
-    const Value& v = tuple.At(i);
-    if (v.is_null()) continue;
-    const AttrType type = schema.attribute(i).type;
-    if (type == AttrType::kCategorical && !v.is_categorical()) {
-      return Status::InvalidArgument("attribute '" + schema.attribute(i).name +
-                                     "' expects a categorical value");
-    }
-    if (type == AttrType::kNumeric && !v.is_numeric()) {
-      return Status::InvalidArgument("attribute '" + schema.attribute(i).name +
-                                     "' expects a numeric value");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-uint64_t ColumnarRelation::NextSnapshotUid() {
+struct ColumnarRelation::CanonicalIndex {
+  CanonicalIndex(const CodeColumns* columns, size_t expected_rows)
+      : codes(columns),
+        reps(expected_rows + 1, RowCodesHash{&codes}, RowCodesEq{&codes}) {}
+
+  // The owning snapshot's code columns; an heir re-aims it at its own,
+  // which start with the same rows.
+  const CodeColumns* codes;
+  // First row of each distinct code vector; a row's canonical row is the
+  // member it collides with (or itself, inserted).
+  std::unordered_set<uint32_t, RowCodesHash, RowCodesEq> reps;
+};
+
+uint64_t ColumnarRelation::NextLineageUid() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ColumnarRelation::AssignCanonical(CanonicalIndex* index,
+                                       size_t from_row) {
+  canonical_.resize(num_rows_);
+  for (size_t row = from_row; row < num_rows_; ++row) {
+    canonical_[row] = *index->reps.insert(static_cast<uint32_t>(row)).first;
+  }
 }
 
 ColumnarRelation::ColumnarRelation(const Relation& relation)
@@ -98,20 +98,15 @@ ColumnarRelation::ColumnarRelation(const Relation& relation)
     }
   }
 
-  canonical_.resize(num_rows_);
-  std::unordered_map<uint32_t, uint32_t, RowCodesHash, RowCodesEq> first_row(
-      /*bucket_count=*/num_rows_ + 1, RowCodesHash{&codes_},
-      RowCodesEq{&codes_});
-  for (uint32_t row = 0; row < num_rows_; ++row) {
-    canonical_[row] = first_row.emplace(row, row).first->second;
-  }
+  CanonicalIndex index(&codes_, num_rows_);
+  AssignCanonical(&index, 0);
 }
 
 Result<std::shared_ptr<const ColumnarRelation>> ColumnarRelation::Extend(
     const ColumnarRelation& base, const std::vector<Tuple>& delta,
     uint64_t new_version) {
   for (const Tuple& t : delta) {
-    AIMQ_RETURN_NOT_OK(ValidateRow(base.schema_, t));
+    AIMQ_RETURN_NOT_OK(ValidateTuple(base.schema_, t));
   }
   auto out_mut = std::shared_ptr<ColumnarRelation>(new ColumnarRelation());
   ColumnarRelation& out = *out_mut;
@@ -120,6 +115,13 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarRelation::Extend(
   const size_t base_rows = base.num_rows_;
   out.num_rows_ = base_rows + delta.size();
   out.snapshot_version_ = new_version;
+  // The first heir continues the base's lineage and takes its canonical
+  // index; a second Extend of the same base starts a new lineage.
+  std::shared_ptr<CanonicalIndex> index;
+  if (base.ClaimHeir()) {
+    out.lineage_uid_ = base.lineage_uid_;
+    index = std::move(base.canonical_index_);
+  }
   // Append-only dictionaries: copying the base dictionaries preserves every
   // base code's meaning; delta interning below can only add codes at the
   // end, exactly as a from-scratch encode of the concatenated stream would.
@@ -177,33 +179,35 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarRelation::Extend(
     }
   }
 
-  // Canonical partition extended on the delta: base rows keep their mapping,
-  // base representatives are re-bucketed (integer hashing of code vectors —
-  // no value re-interning), and only delta rows probe/extend the buckets.
-  // First-in-stream-order wins, exactly as the from-scratch constructor.
+  // Canonical partition extended on the delta: base rows keep their mapping
+  // and only delta rows probe/extend the index. An inherited index already
+  // holds the base's representatives; otherwise they are re-bucketed
+  // (integer hashing of code vectors, no value re-interning). First in
+  // stream order wins, exactly as in the from-scratch constructor.
   if (base.packed()) base.EnsureCanonical();
-  out.canonical_.resize(out.num_rows_);
-  std::unordered_map<uint32_t, uint32_t, RowCodesHash, RowCodesEq> first_row(
-      /*bucket_count=*/out.num_rows_ + 1, RowCodesHash{&out.codes_},
-      RowCodesEq{&out.codes_});
-  for (uint32_t row = 0; row < base_rows; ++row) {
-    out.canonical_[row] = base.canonical_[row];
-    if (base.canonical_[row] == row) first_row.emplace(row, row);
+  out.canonical_ = base.canonical_;
+  if (index != nullptr) {
+    index->codes = &out.codes_;
+  } else {
+    index = std::make_shared<CanonicalIndex>(&out.codes_, out.num_rows_);
+    for (uint32_t row = 0; row < base_rows; ++row) {
+      if (base.canonical_[row] == row) index->reps.insert(row);
+    }
   }
-  for (uint32_t row = static_cast<uint32_t>(base_rows); row < out.num_rows_;
-       ++row) {
-    out.canonical_[row] = first_row.emplace(row, row).first->second;
-  }
+  out.AssignCanonical(index.get(), base_rows);
+  out.canonical_index_ = std::move(index);
   return std::shared_ptr<const ColumnarRelation>(std::move(out_mut));
 }
 
 ColumnarRelation::WindowCursor::WindowCursor(const ColumnarRelation* rel,
-                                             std::vector<size_t> attrs)
-    : rel_(rel), attrs_(std::move(attrs)) {
+                                             std::vector<size_t> attrs,
+                                             size_t from_row)
+    : rel_(rel), attrs_(std::move(attrs)), from_row_(from_row) {
   if (rel_->packed()) {
+    const size_t first_block = from_row_ / rel_->store_->block_size();
     cursors_.reserve(attrs_.size());
     for (size_t a : attrs_) {
-      cursors_.push_back(rel_->store_->ColumnCursor(a));
+      cursors_.push_back(rel_->store_->ColumnCursor(a, first_block));
     }
   }
 }
@@ -212,13 +216,13 @@ bool ColumnarRelation::WindowCursor::Next(CodeWindow* w) {
   if (done_) return false;
   w->codes.resize(attrs_.size());
   if (!rel_->packed()) {
-    // Plain mode: the whole relation is one window of resident columns.
+    // Plain mode: the scanned rows are one window of resident columns.
     done_ = true;
-    if (rel_->num_rows_ == 0) return false;
-    w->begin_row = 0;
-    w->num_rows = rel_->num_rows_;
+    if (from_row_ >= rel_->num_rows_) return false;
+    w->begin_row = from_row_;
+    w->num_rows = rel_->num_rows_ - from_row_;
     for (size_t i = 0; i < attrs_.size(); ++i) {
-      w->codes[i] = rel_->codes_[attrs_[i]].data();
+      w->codes[i] = rel_->codes_[attrs_[i]].data() + from_row_;
     }
     return true;
   }
@@ -235,6 +239,17 @@ bool ColumnarRelation::WindowCursor::Next(CodeWindow* w) {
   }
   w->begin_row = cursors_[0].begin_row();
   w->num_rows = cursors_[0].size();
+  if (w->begin_row < from_row_) {
+    // The first block starts before the scan: skip its leading rows.
+    const size_t skip = from_row_ - w->begin_row;
+    if (skip >= w->num_rows) {
+      done_ = true;
+      return false;
+    }
+    for (const ValueId*& codes : w->codes) codes += skip;
+    w->begin_row = from_row_;
+    w->num_rows -= skip;
+  }
   return true;
 }
 
@@ -320,6 +335,9 @@ Result<std::unique_ptr<ColumnarBuilder>> ColumnarBuilder::Create(Schema schema,
     }
   }
   b->snapshot_version_ = opts.snapshot_version;
+  if (opts.lineage_base != nullptr && opts.lineage_base->ClaimHeir()) {
+    b->lineage_uid_ = opts.lineage_base->lineage_uid_;
+  }
   b->store_ = std::move(store);
   return b;
 }
@@ -357,6 +375,7 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarBuilder::Finish() {
   rel->schema_ = std::move(schema_);
   rel->num_rows_ = rows_;
   rel->snapshot_version_ = snapshot_version_;
+  if (lineage_uid_ != 0) rel->lineage_uid_ = lineage_uid_;
   rel->dicts_ = std::move(dicts_);
   rel->codes_.resize(rel->dicts_.size());   // empty: packed mode
   rel->nums_.resize(rel->dicts_.size());    // empty: packed mode

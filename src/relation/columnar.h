@@ -30,10 +30,19 @@
 // code vector, giving the engine an O(1) integer substitute for
 // unordered_set<Tuple> deduplication. In packed mode the canonical map is
 // built lazily on first use (one streaming pass over all columns).
+//
+// Lineage: snapshots that share a lineage_uid() are row prefixes of one
+// another. A new snapshot starts a fresh lineage; the first Extend of a
+// snapshot (and a ColumnarBuilder told to continue it) inherits it, any
+// later one starts a new lineage. So for two snapshots of one lineage with
+// N <= M rows, the N-row snapshot is exactly the first N rows of the M-row
+// one, with the same codes — what lets probe-cache entries outlive a
+// publish (DESIGN.md §5i).
 
 #ifndef AIMQ_RELATION_COLUMNAR_H_
 #define AIMQ_RELATION_COLUMNAR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -63,10 +72,14 @@ class ColumnarRelation {
   /// \p new_version. Because ValueDict::Intern is append-only and both build
   /// paths intern row-major in attribute order, the result is bit-identical
   /// to a from-scratch encode of the concatenated row stream — same codes,
-  /// same dictionaries, same canonical rows — but only delta-proportional
-  /// encode work is done (base columns are copied, or decoded per block for
-  /// a packed base; no re-interning of base rows). Delta rows are validated
-  /// against the schema (arity + per-attribute type).
+  /// same dictionaries, same canonical rows. Only the delta is interned and
+  /// hashed; the rest is copied in O(base rows): the dictionaries, the code
+  /// and number columns (decoded per block for a packed base) and the
+  /// canonical-row vector. The first Extend of \p base inherits its lineage
+  /// and takes over its canonical-row index (when \p base was itself made
+  /// by Extend), so it hashes only the delta rows; a later Extend of the
+  /// same base starts a new lineage and rebuilds the index from the base's
+  /// representatives. Delta rows are validated with ValidateTuple.
   static Result<std::shared_ptr<const ColumnarRelation>> Extend(
       const ColumnarRelation& base, const std::vector<Tuple>& delta,
       uint64_t new_version);
@@ -75,15 +88,15 @@ class ColumnarRelation {
   size_t NumRows() const { return num_rows_; }
   size_t NumAttributes() const { return dicts_.size(); }
 
-  /// Monotonic publish version of this snapshot within its live lineage
-  /// (0 for snapshots built outside live ingest). Probe-cache keys embed it
-  /// so entries from superseded versions can be aged out by version.
+  /// Monotonic publish version of this snapshot within live ingest (0 for
+  /// snapshots built outside it).
   uint64_t snapshot_version() const { return snapshot_version_; }
 
-  /// Process-unique snapshot instance id. Together with snapshot_version()
-  /// it makes probe keys collision-free across distinct snapshots without
-  /// relying on pointer identity (which ABA-reuses).
-  uint64_t snapshot_uid() const { return snapshot_uid_; }
+  /// Process-unique lineage id (see file comment). Probe keys carry it in
+  /// place of snapshot identity, so an entry cached against one snapshot
+  /// serves every later snapshot of the lineage after evaluating only the
+  /// rows it has not seen.
+  uint64_t lineage_uid() const { return lineage_uid_; }
 
   /// True when code columns live in a block store instead of resident
   /// vectors (see file comment).
@@ -143,16 +156,21 @@ class ColumnarRelation {
 
    private:
     friend class ColumnarRelation;
-    WindowCursor(const ColumnarRelation* rel, std::vector<size_t> attrs);
+    WindowCursor(const ColumnarRelation* rel, std::vector<size_t> attrs,
+                 size_t from_row);
     const ColumnarRelation* rel_;
     std::vector<size_t> attrs_;
+    size_t from_row_;
     std::vector<storage::CodeBlockStore::Cursor> cursors_;  // packed mode
     bool done_ = false;
   };
 
-  /// Opens a sequential scan over the code columns of \p attrs.
-  WindowCursor ScanBlocks(std::vector<size_t> attrs) const {
-    return WindowCursor(this, std::move(attrs));
+  /// Opens a sequential scan over the code columns of \p attrs, covering
+  /// rows [from_row, NumRows()). Packed mode starts at from_row's block and
+  /// never decodes the blocks before it.
+  WindowCursor ScanBlocks(std::vector<size_t> attrs,
+                          size_t from_row = 0) const {
+    return WindowCursor(this, std::move(attrs), from_row);
   }
 
   /// Index of the first row whose full code vector equals \p row's. Two rows
@@ -178,17 +196,31 @@ class ColumnarRelation {
 
  private:
   friend class ColumnarBuilder;
+  // One representative row per distinct code vector (defined in the .cc).
+  struct CanonicalIndex;
+
   ColumnarRelation() = default;  // assembled by ColumnarBuilder / Extend
 
   void EnsureCanonical() const;
 
-  // Fresh process-unique snapshot_uid_ value.
-  static uint64_t NextSnapshotUid();
+  // Fills canonical_[from_row, num_rows_) through \p index, whose code
+  // columns must be this snapshot's.
+  void AssignCanonical(CanonicalIndex* index, size_t from_row);
+
+  // True for the first caller only: that caller's snapshot continues this
+  // one's lineage.
+  bool ClaimHeir() const {
+    return !has_heir_.exchange(true, std::memory_order_acq_rel);
+  }
+
+  // Fresh process-unique lineage_uid_ value.
+  static uint64_t NextLineageUid();
 
   Schema schema_;
   size_t num_rows_ = 0;
   uint64_t snapshot_version_ = 0;
-  uint64_t snapshot_uid_ = NextSnapshotUid();
+  uint64_t lineage_uid_ = NextLineageUid();
+  mutable std::atomic<bool> has_heir_{false};
   std::vector<ValueDict> dicts_;             // one per attribute
   std::vector<std::vector<ValueId>> codes_;  // [attr][row]; plain mode
   std::vector<std::vector<double>> nums_;    // [attr][row]; plain + numeric
@@ -199,6 +231,9 @@ class ColumnarRelation {
   // fills it on first CanonicalRow() call.
   mutable std::once_flag canonical_once_;
   mutable std::vector<uint32_t> canonical_;  // [row] -> first identical row
+  // Kept only by snapshots made by Extend, and moved to the first heir
+  // (ClaimHeir guards the hand-off); null otherwise.
+  mutable std::shared_ptr<CanonicalIndex> canonical_index_;
 };
 
 /// \brief Streaming constructor of packed ColumnarRelation snapshots.
@@ -218,6 +253,12 @@ class ColumnarBuilder {
     /// snapshot_version() stamped on the finished snapshot (live ingest
     /// rebuilds a packed serving snapshot per published version).
     uint64_t snapshot_version = 0;
+    /// When set, the appended rows must start with exactly this snapshot's
+    /// rows (the same codes follow, since interning order matches). Create
+    /// claims it as an Extend would: if this builder is its first heir, the
+    /// finished snapshot continues its lineage. Live ingest sets it to the
+    /// previous packed serving snapshot.
+    const ColumnarRelation* lineage_base = nullptr;
   };
 
   /// Creates a builder for \p schema (and the spill file, if configured).
@@ -246,6 +287,7 @@ class ColumnarBuilder {
   std::unique_ptr<storage::CodeBlockStore> store_;
   size_t rows_ = 0;
   uint64_t snapshot_version_ = 0;
+  uint64_t lineage_uid_ = 0;  // 0: the snapshot starts a fresh lineage
   bool finished_ = false;
 };
 

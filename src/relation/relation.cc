@@ -62,26 +62,32 @@ std::shared_ptr<const ColumnarRelation> Relation::columnar() const {
   return built;
 }
 
-Status Relation::Append(Tuple tuple) {
-  if (tuple.Size() != schema_.NumAttributes()) {
+Status ValidateTuple(const Schema& schema, const Tuple& tuple,
+                     std::string_view label) {
+  if (tuple.Size() != schema.NumAttributes()) {
     return Status::InvalidArgument(
-        "tuple arity " + std::to_string(tuple.Size()) +
+        std::string(label) + " arity " + std::to_string(tuple.Size()) +
         " does not match schema arity " +
-        std::to_string(schema_.NumAttributes()));
+        std::to_string(schema.NumAttributes()));
   }
   for (size_t i = 0; i < tuple.Size(); ++i) {
     const Value& v = tuple.At(i);
     if (v.is_null()) continue;
-    const AttrType type = schema_.attribute(i).type;
+    const AttrType type = schema.attribute(i).type;
     if (type == AttrType::kCategorical && !v.is_categorical()) {
-      return Status::InvalidArgument("attribute '" + schema_.attribute(i).name +
+      return Status::InvalidArgument("attribute '" + schema.attribute(i).name +
                                      "' expects a categorical value");
     }
     if (type == AttrType::kNumeric && !v.is_numeric()) {
-      return Status::InvalidArgument("attribute '" + schema_.attribute(i).name +
+      return Status::InvalidArgument("attribute '" + schema.attribute(i).name +
                                      "' expects a numeric value");
     }
   }
+  return Status::OK();
+}
+
+Status Relation::Append(Tuple tuple) {
+  AIMQ_RETURN_NOT_OK(ValidateTuple(schema_, tuple));
   InvalidateColumnar();
   tuples_.push_back(std::move(tuple));
   return Status::OK();

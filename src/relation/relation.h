@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "relation/columnar.h"
@@ -18,6 +19,13 @@
 #include "util/status.h"
 
 namespace aimq {
+
+/// The row check every validated entry point shares (Relation::Append,
+/// ColumnarRelation::Extend, live ingest): arity, then per-attribute type,
+/// nulls allowed anywhere. \p label names the row in the arity error
+/// ("<label> arity N does not match schema arity M").
+Status ValidateTuple(const Schema& schema, const Tuple& tuple,
+                     std::string_view label = "tuple");
 
 /// \brief Schema + rows. Rows are validated on append (arity and type).
 class Relation {

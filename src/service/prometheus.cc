@@ -88,10 +88,10 @@ void EmitProbeCache(const ProbeCacheStats& stats, Emitter* out) {
                "Probes served by parking on an identical probe already in "
                "flight.",
                static_cast<double>(stats.coalesced));
-  out->Counter("aimq_probe_cache_version_evictions_total",
-               "Entries aged out because their snapshot version was "
-               "superseded by a publish.",
-               static_cast<double>(stats.version_evictions));
+  out->Counter("aimq_probe_cache_extended_total",
+               "Probes served by extending an entry cached for an earlier "
+               "snapshot over the rows published since (counted as hits).",
+               static_cast<double>(stats.extended));
   out->Gauge("aimq_probe_cache_hit_rate",
              "hits / lookups; 0 before any lookup.", stats.HitRate());
 }

@@ -164,16 +164,19 @@ class CodeBlockStore {
 
    private:
     friend class CodeBlockStore;
-    Cursor(const CodeBlockStore* store, size_t col)
-        : store_(store), col_(col) {}
+    Cursor(const CodeBlockStore* store, size_t col, size_t first_block)
+        : store_(store), col_(col), next_block_(first_block) {}
     const CodeBlockStore* store_;
     size_t col_;
-    size_t next_block_ = 0;
+    size_t next_block_;
     size_t begin_row_ = 0;
     size_t size_ = 0;
     DecodedBlock cur_;
   };
-  Cursor ColumnCursor(size_t col) const { return Cursor(this, col); }
+  /// Cursor over column \p col starting at block \p first_block.
+  Cursor ColumnCursor(size_t col, size_t first_block = 0) const {
+    return Cursor(this, col, first_block);
+  }
 
   /// Closes and reopens the spill file (test hook proving answers survive a
   /// cold restart). Drops all unpinned cached blocks.

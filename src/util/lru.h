@@ -77,25 +77,6 @@ class LruCache {
     return true;
   }
 
-  /// Erases every entry for which \p pred(key, value) is true, preserving
-  /// the recency order of survivors. Returns the number erased. Not counted
-  /// in evictions(): these are caller-requested drops, not capacity
-  /// pressure.
-  template <typename Pred>
-  size_t EraseIf(Pred pred) {
-    size_t erased = 0;
-    for (auto it = items_.begin(); it != items_.end();) {
-      if (pred(it->first, it->second)) {
-        index_.erase(KeyRef{&it->first});
-        it = items_.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  }
-
   void Clear() {
     index_.clear();
     items_.clear();

@@ -150,7 +150,8 @@ Result<bool> CodedConjunction::EvaluateRow(uint32_t row) const {
       [this, row](size_t, const Pred& p) { return data_->CodeAt(p.attr, row); });
 }
 
-Result<std::vector<uint32_t>> CodedConjunction::EvaluateAll() const {
+Result<std::vector<uint32_t>> CodedConjunction::EvaluateAll(
+    size_t from_row) const {
   std::vector<uint32_t> rows;
 
   // One scan attribute per predicate that reads its column; predicates that
@@ -170,7 +171,7 @@ Result<std::vector<uint32_t>> CodedConjunction::EvaluateAll() const {
     // No predicate reads a column: evaluate once per row without a scan
     // (preserves "an empty relation scans clean" for compile errors).
     const uint32_t n = static_cast<uint32_t>(data_->NumRows());
-    for (uint32_t r = 0; r < n; ++r) {
+    for (uint32_t r = static_cast<uint32_t>(from_row); r < n; ++r) {
       AIMQ_ASSIGN_OR_RETURN(bool match, EvaluateRow(r));
       if (match) rows.push_back(r);
     }
@@ -193,7 +194,8 @@ Result<std::vector<uint32_t>> CodedConjunction::EvaluateAll() const {
   if (vectorizable) {
     const simd::KernelTable& kernels = simd::Kernels();
     std::vector<uint64_t> mask, pred_mask;
-    ColumnarRelation::WindowCursor cur = data_->ScanBlocks(scan_attrs);
+    ColumnarRelation::WindowCursor cur =
+        data_->ScanBlocks(scan_attrs, from_row);
     ColumnarRelation::CodeWindow w;
     while (cur.Next(&w)) {
       const size_t words = (w.num_rows + 63) / 64;
@@ -221,7 +223,7 @@ Result<std::vector<uint32_t>> CodedConjunction::EvaluateAll() const {
     return rows;
   }
 
-  ColumnarRelation::WindowCursor cur = data_->ScanBlocks(scan_attrs);
+  ColumnarRelation::WindowCursor cur = data_->ScanBlocks(scan_attrs, from_row);
   ColumnarRelation::CodeWindow w;
   while (cur.Next(&w)) {
     for (size_t i = 0; i < w.num_rows; ++i) {
@@ -237,7 +239,7 @@ Result<std::vector<uint32_t>> CodedConjunction::EvaluateAll() const {
 }
 
 Result<std::vector<uint32_t>> CodedConjunction::EvaluateCandidates(
-    const std::vector<uint32_t>& candidates) const {
+    std::span<const uint32_t> candidates) const {
   std::vector<uint32_t> rows;
   for (uint32_t r : candidates) {
     AIMQ_ASSIGN_OR_RETURN(bool match, EvaluateRow(r));

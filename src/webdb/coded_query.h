@@ -20,6 +20,7 @@
 #define AIMQ_WEBDB_CODED_QUERY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "query/selection_query.h"
@@ -43,6 +44,8 @@ class CodedConjunction {
   Result<bool> EvaluateRow(uint32_t row) const;
 
   /// Full scan; mirrors SelectionQuery::Evaluate (row indices ascending).
+  /// With \p from_row > 0 it evaluates only rows [from_row, NumRows()) —
+  /// the rows a cached answer over the first from_row rows has not seen.
   /// Iterates block windows via ColumnarRelation::ScanBlocks, so packed
   /// snapshots decode (and page in) one block per involved column at a time.
   /// When every predicate compiled to an error-free code form (kEqCode, or
@@ -50,11 +53,11 @@ class CodedConjunction {
   /// bitmask filter through the simd kernel layer: one bitmask per
   /// predicate per window, ANDed across predicates, row ids emitted from
   /// the surviving mask. Results are bit-identical to the per-row path.
-  Result<std::vector<uint32_t>> EvaluateAll() const;
+  Result<std::vector<uint32_t>> EvaluateAll(size_t from_row = 0) const;
 
   /// Evaluates only \p candidates (in the given order), keeping matches.
   Result<std::vector<uint32_t>> EvaluateCandidates(
-      const std::vector<uint32_t>& candidates) const;
+      std::span<const uint32_t> candidates) const;
 
   size_t NumPredicates() const { return preds_.size(); }
 

@@ -1,25 +1,35 @@
 #include "webdb/probe_cache.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace aimq {
 
-ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, bool* hit) {
+ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, size_t rows,
+                                      bool* hit) {
   Claim claim;
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.lookups;
   if (const Entry* cached = cache_.Get(key)) {
     ++stats_.hits;
     if (hit != nullptr) *hit = true;
-    claim.served = cached->rows;  // a refcount bump; entries are immutable
-    return claim;
+    if (cached->covered == rows) {
+      claim.served = cached->rows;  // a refcount bump; entries are immutable
+      return claim;
+    }
+    claim.cached = cached->rows;
+    claim.covered = cached->covered;
+    if (cached->covered > rows) return claim;  // an older reader: trim
   }
   if (coalesce_) {
-    auto it = flights_.find(key);
+    FlightKey flight_key{key, rows};
+    auto it = flights_.find(flight_key);
     if (it != flights_.end()) {
       // Park on the running probe: one source scan serves every waiter.
       // The follower was spared a source probe, so it reports as a hit.
       std::shared_ptr<Flight> flight = it->second;
       ++flight->waiters;
-      ++stats_.hits;
+      if (claim.cached == nullptr) ++stats_.hits;
       ++stats_.coalesced;
       if (hit != nullptr) *hit = true;
       flight->cv.wait(lock, [&flight] { return flight->done; });
@@ -32,33 +42,58 @@ ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, bool* hit) {
       return claim;
     }
     claim.flight = std::make_shared<Flight>();
-    flights_.emplace(key, claim.flight);
+    flights_.emplace(std::move(flight_key), claim.flight);
   }
-  ++stats_.misses;
+  if (claim.cached != nullptr) {
+    ++stats_.extended;
+  } else {
+    ++stats_.misses;
+  }
   return claim;
 }
 
-Result<SharedRows> ProbeCache::Fill(const ProbeKey& key, uint64_t version,
+Result<SharedRows> ProbeCache::AppendRows(const SharedRows& cached,
+                                          Result<std::vector<uint32_t>> delta) {
+  if (!delta.ok()) return delta.status();
+  if (delta->empty()) return cached;
+  auto rows = std::make_shared<std::vector<uint32_t>>();
+  rows->reserve(cached->size() + delta->size());
+  rows->insert(rows->end(), cached->begin(), cached->end());
+  rows->insert(rows->end(), delta->begin(), delta->end());
+  return SharedRows(std::move(rows));
+}
+
+SharedRows ProbeCache::RowsBelow(const SharedRows& cached, size_t rows) {
+  const auto end = std::lower_bound(cached->begin(), cached->end(), rows);
+  if (end == cached->end()) return cached;
+  return std::make_shared<const std::vector<uint32_t>>(cached->begin(), end);
+}
+
+Result<SharedRows> ProbeCache::Fill(const ProbeKey& key, size_t rows,
                                     const std::shared_ptr<Flight>& flight,
-                                    Result<std::vector<uint32_t>> probed) {
-  Result<SharedRows> rows = ShareRows(std::move(probed));  // outside the lock
+                                    Result<SharedRows> answer) {
   std::lock_guard<std::mutex> lock(mu_);
   if (flight != nullptr) {
     flight->done = true;
-    if (rows.ok()) {
-      flight->rows = *rows;
+    if (answer.ok()) {
+      flight->rows = *answer;
     } else {
-      flight->status = rows.status();  // errors are never cached
+      flight->status = answer.status();  // errors are never cached
     }
-    flights_.erase(key);
+    flights_.erase(FlightKey{key, rows});
     flight->cv.notify_all();
   }
-  if (rows.ok()) {
-    const uint64_t before = cache_.evictions();
-    cache_.Put(key, Entry{*rows, version});
-    stats_.evictions += cache_.evictions() - before;
+  if (answer.ok()) {
+    // Keep whichever answer covers more rows: a reader on an older
+    // snapshot must not shrink an entry a newer reader already extended.
+    const Entry* resident = cache_.Peek(key);
+    if (resident == nullptr || resident->covered < rows) {
+      const uint64_t before = cache_.evictions();
+      cache_.Put(key, Entry{*answer, rows});
+      stats_.evictions += cache_.evictions() - before;
+    }
   }
-  return rows;
+  return answer;
 }
 
 Result<std::vector<Tuple>> ProbeCache::Execute(const WebDatabase& db,
@@ -79,16 +114,6 @@ void ProbeCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   cache_.Clear();
   stats_ = ProbeCacheStats{};
-}
-
-size_t ProbeCache::EvictVersionsBelow(uint64_t version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t erased = cache_.EraseIf(
-      [version](const ProbeKey&, const Entry& e) {
-        return e.version < version;
-      });
-  stats_.version_evictions += erased;
-  return erased;
 }
 
 void ProbeCache::EnableCoalescing(bool enabled) {

@@ -13,6 +13,20 @@
 // materialized Tuples — and a hit hands out the entry's handle: no copy, and
 // the rows stay valid for the holder after the entry is evicted.
 //
+// Entries outlive snapshot publishes. Keys name a snapshot *lineage*, not a
+// snapshot (probe_key.h), and each entry records how many source rows its
+// answer covers. Within a lineage a smaller snapshot is a row prefix of a
+// larger one, so a lookup against a source with N rows finds one of:
+//   - covered == N: a plain hit;
+//   - covered < N: the source evaluates only rows [covered, N)
+//     (WebDatabase::ExecuteRowsFrom), the delta's matches are appended and
+//     the entry is stored at N — re-stamped without a copy when the delta
+//     matches nothing. Counted as a hit and in `extended`;
+//   - covered > N (a reader still on an older snapshot): the rows below N
+//     are served and the entry is left alone.
+// A failed delta is returned to the caller and never cached; the entry
+// keeps its old coverage.
+//
 // The cache is safe for concurrent Execute() calls — the engine's parallel
 // relaxation fan-out and concurrent query sessions share one instance. The
 // mutex guards only map bookkeeping (a hash-table probe on the key's
@@ -26,11 +40,14 @@
 // style in-flight table: the first thread to miss a key becomes the probe's
 // *leader* and executes it; concurrent threads that miss the same key park
 // on the leader's flight and are handed the leader's row list when it
-// lands — one physical probe serves N waiting sessions. Parked followers
-// report as cache hits (their probe was served without touching the
-// source), and are additionally counted in `coalesced`. With coalescing on,
-// each distinct key is probed exactly once per residency (never twice by a
-// race), which also makes probe accounting deterministic under concurrency.
+// lands — one physical probe serves N waiting sessions. Flights are keyed
+// by (key, source rows), and an extension is a flight like a miss, so a
+// follower only ever parks on a leader probing the same row count. Parked
+// followers report as cache hits (their probe was served without touching
+// the source), and are additionally counted in `coalesced`. With
+// coalescing on, each distinct (key, rows) is computed exactly once per
+// residency (never twice by a race), which also makes probe accounting
+// deterministic under concurrency.
 
 #ifndef AIMQ_WEBDB_PROBE_CACHE_H_
 #define AIMQ_WEBDB_PROBE_CACHE_H_
@@ -63,9 +80,12 @@ struct ProbeCacheStats {
   /// Lookups served by parking on a probe already in flight (counted in
   /// `hits` as well): one source scan answered this many extra sessions.
   uint64_t coalesced = 0;
-  /// Entries dropped by EvictVersionsBelow (live ingest ages out answers
-  /// from superseded snapshot versions). Separate from `evictions`, which
-  /// counts only capacity pressure.
+  /// Lookups that found an entry covering fewer rows than the source and
+  /// extended it over the delta rows (counted in `hits` as well).
+  uint64_t extended = 0;
+  /// Always 0: entries are carried across snapshot publishes, never aged
+  /// out by version. Kept because reports that predate carry-forward (the
+  /// serving benchmark's webdb.version_evictions) still read it.
   uint64_t version_evictions = 0;
 
   /// Fraction of lookups spared a source probe (0 when no lookups yet).
@@ -88,9 +108,10 @@ class ProbeCache {
   ProbeCache(const ProbeCache&) = delete;
   ProbeCache& operator=(const ProbeCache&) = delete;
 
-  /// Serves \p query's row ids from the cache, or forwards the probe to
-  /// \p db and caches the answer. \p hit (optional) reports whether the
-  /// source was spared. Errors are never cached.
+  /// Serves \p query's row ids from the cache (extending an entry that
+  /// covers fewer rows than \p db), or forwards the probe to \p db and
+  /// caches the answer. \p hit (optional) reports whether a full source
+  /// probe was spared. Errors are never cached.
   Result<SharedRows> ExecuteRows(const WebDatabase& db,
                                  const SelectionQuery& query,
                                  bool* hit = nullptr) {
@@ -111,23 +132,13 @@ class ProbeCache {
                                      const SelectionQuery& query,
                                      bool* hit = nullptr);
 
-  /// True iff \p query (against \p db) is currently cached (does not
-  /// refresh recency; diagnostics/tests).
+  /// True iff \p query (against \p db) has an entry, whatever row count it
+  /// covers (does not refresh recency; diagnostics/tests).
   bool Contains(const WebDatabase& db, const SelectionQuery& query) const;
 
   /// Drops all entries and resets the counters. Probes currently in flight
   /// are unaffected (their waiters still get the leader's answer).
   void Clear();
-
-  /// Drops every entry cached against a snapshot version below \p version,
-  /// returning the number dropped (also accumulated in
-  /// stats().version_evictions). Live ingest calls this on publish: stale
-  /// entries can never poison new-version answers (keys embed the version,
-  /// so they simply never match), but without aging they would squat in the
-  /// LRU until capacity pressure pushes them out. Probes in flight are
-  /// unaffected — a follower parked across a swap still observes its
-  /// leader's old-version answer.
-  size_t EvictVersionsBelow(uint64_t version);
 
   /// Turns the in-flight coalescing table on or off (off by default, which
   /// preserves the historical race-and-overwrite behavior). Flip it before
@@ -155,28 +166,52 @@ class ProbeCache {
     size_t waiters = 0;
   };
 
-  // Cached answer plus the snapshot version it was probed against (used
-  // only by EvictVersionsBelow; version match on lookup is implied by the
-  // key, which embeds snapshot version + uid).
+  // A flight's identity: the probe and the source row count it computes.
+  struct FlightKey {
+    ProbeKey key;
+    size_t rows = 0;
+    bool operator==(const FlightKey& other) const {
+      return rows == other.rows && key == other.key;
+    }
+  };
+  struct FlightKeyHash {
+    size_t operator()(const FlightKey& f) const noexcept {
+      return f.key.hash() ^ (f.rows * 0x9e3779b97f4a7c15ull);
+    }
+  };
+
+  // Cached answer: ascending row ids over the first `covered` source rows.
   struct Entry {
     SharedRows rows;
-    uint64_t version = 0;
+    size_t covered = 0;
   };
 
   // Outcome of the locked lookup: served (a hit, or a parked follower's
-  // answer), or a miss the caller must probe — as the flight's leader when
-  // coalescing is on.
+  // answer); a resident entry over a different row count (`cached`, with
+  // its `covered` rows) that the caller trims or extends; or a miss the
+  // caller must probe. An extension or miss leads `flight` when coalescing
+  // is on.
   struct Claim {
     std::optional<Result<SharedRows>> served;
     std::shared_ptr<Flight> flight;
+    SharedRows cached;
+    size_t covered = 0;
   };
 
-  Claim Acquire(const ProbeKey& key, bool* hit);
-  // Publishes a miss's probe: caches it (unless it failed) and hands it to
-  // the flight's followers.
-  Result<SharedRows> Fill(const ProbeKey& key, uint64_t version,
+  Claim Acquire(const ProbeKey& key, size_t rows, bool* hit);
+  // \p cached followed by \p delta's rows; \p cached itself (no copy) when
+  // the delta is empty.
+  static Result<SharedRows> AppendRows(const SharedRows& cached,
+                                       Result<std::vector<uint32_t>> delta);
+  // The rows of \p cached below \p rows; \p cached itself (no copy) when
+  // all of them are.
+  static SharedRows RowsBelow(const SharedRows& cached, size_t rows);
+  // Publishes an extension's or a miss's answer over \p rows source rows:
+  // caches it (unless it failed, or a resident entry already covers more
+  // rows) and hands it to the flight's followers.
+  Result<SharedRows> Fill(const ProbeKey& key, size_t rows,
                           const std::shared_ptr<Flight>& flight,
-                          Result<std::vector<uint32_t>> probed);
+                          Result<SharedRows> answer);
 
   const size_t capacity_;  // immutable; readable without mu_
   mutable std::mutex mu_;
@@ -186,7 +221,8 @@ class ProbeCache {
   // In-flight probes by key; entries are shared so a flight outlives its map
   // slot while followers still hold it. Guarded by mu_; followers wait on
   // the flight's cv with mu_ held (released while waiting).
-  std::unordered_map<ProbeKey, std::shared_ptr<Flight>, ProbeKeyHash> flights_;
+  std::unordered_map<FlightKey, std::shared_ptr<Flight>, FlightKeyHash>
+      flights_;
 };
 
 /// Wraps a probe's rows as a shared list: one allocation, rows moved.
@@ -202,11 +238,19 @@ Result<SharedRows> ProbeCache::ExecuteRows(const WebDatabase& db,
                                            MakeQuery&& make_query, bool* hit) {
   if (hit != nullptr) *hit = false;
   if (capacity_ == 0) return ShareRows(db.ExecuteRows(make_query()));
-  Claim claim = Acquire(key, hit);
+  const size_t rows = db.NumTuples();
+  Claim claim = Acquire(key, rows, hit);
   if (claim.served.has_value()) return std::move(*claim.served);
-  // Probe outside the lock: source latency must never serialize workers.
-  return Fill(key, db.SnapshotVersion(), claim.flight,
-              db.ExecuteRows(make_query()));
+  // Trim, extend or probe outside the lock: source latency must never
+  // serialize workers.
+  if (claim.cached == nullptr) {
+    return Fill(key, rows, claim.flight,
+                ShareRows(db.ExecuteRows(make_query())));
+  }
+  if (claim.covered > rows) return RowsBelow(claim.cached, rows);
+  return Fill(key, rows, claim.flight,
+              AppendRows(claim.cached,
+                         db.ExecuteRowsFrom(make_query(), claim.covered)));
 }
 
 }  // namespace aimq

@@ -44,8 +44,7 @@ struct Term {
 }  // namespace
 
 ProbeKey::Builder::Builder(const ColumnarRelation& cols) {
-  Push(cols.snapshot_version());
-  Push(cols.snapshot_uid());
+  Push(cols.lineage_uid());
 }
 
 void ProbeKey::Builder::AddCode(size_t attr, CompareOp op, ValueId code) {

@@ -1,15 +1,21 @@
-// ProbeKey: the integer identity of one probe against one columnar snapshot.
+// ProbeKey: the integer identity of one probe against one snapshot lineage.
 //
 // Every probe cache on the query path keys on it: the engine's shared
 // ProbeCache, its per-call memo, and the per-shard caches. A key is a short
-// run of 64-bit words. Two header words name the snapshot (version + uid),
-// then come the query's predicates as sorted terms, so syntactically
-// different but equivalent conjunctions share a key. A term is one head word
-// packing (attribute, operator, operand kind) plus, for a dictionary-resolved
-// equality, the operand's code; a numeric operand adds its double's bit
-// pattern as a second word. The rare operands with no integer form (a string
-// the dictionary does not hold, an attribute the schema does not name)
-// append their bytes, so distinct queries never share a key.
+// run of 64-bit words. One header word names the snapshot's lineage
+// (ColumnarRelation::lineage_uid), then come the query's predicates as
+// sorted terms, so syntactically different but equivalent conjunctions
+// share a key. A term is one head word packing (attribute, operator, operand
+// kind) plus, for a dictionary-resolved equality, the operand's code; a
+// numeric operand adds its double's bit pattern as a second word. The rare
+// operands with no integer form (a string the dictionary does not hold, an
+// attribute the schema does not name) append their bytes, so distinct
+// queries never share a key.
+//
+// The key carries no row count: every snapshot of a lineage shares it, and
+// the cache entry records how many rows its answer covers (ProbeCache).
+// Codes keep their meaning across a lineage (dictionaries are append-only),
+// so equal keys mean equivalent queries at every version.
 //
 // Keys up to kInlineWords words (every CarDB probe) live inline, and the
 // hash is computed once when the key is finished, outside any cache lock: a
@@ -27,7 +33,7 @@
 
 namespace aimq {
 
-/// \brief Hashable, copyable probe identity: snapshot + sorted coded terms.
+/// \brief Hashable, copyable probe identity: lineage + sorted coded terms.
 class ProbeKey {
  public:
   static constexpr size_t kInlineWords = 16;
@@ -80,7 +86,7 @@ class ProbeKey {
 /// the equivalent SelectionQuery.
 class ProbeKey::Builder {
  public:
-  /// Starts a key against \p cols's snapshot (version + uid).
+  /// Starts a key against \p cols's lineage.
   explicit Builder(const ColumnarRelation& cols);
 
   /// `attr op value` where \p code is value's dictionary code.

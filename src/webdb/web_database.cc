@@ -1,6 +1,7 @@
 #include "webdb/web_database.h"
 
 #include <algorithm>
+#include <span>
 
 #include "webdb/coded_query.h"
 
@@ -54,16 +55,14 @@ void WebDatabase::ExtendPostingLists(const WebDatabase& prev) {
     postings_[a].resize(cols_->dict(a).size());
     attrs.push_back(a);
   }
-  // Scan only the delta: windows entirely before from_row are skipped
-  // without decoding work beyond the cursor walk.
-  ColumnarRelation::WindowCursor cursor = cols_->ScanBlocks(std::move(attrs));
+  // Scan only the delta rows.
+  ColumnarRelation::WindowCursor cursor =
+      cols_->ScanBlocks(std::move(attrs), from_row);
   ColumnarRelation::CodeWindow w;
   while (cursor.Next(&w)) {
-    if (w.begin_row + w.num_rows <= from_row) continue;
-    const size_t first = from_row > w.begin_row ? from_row - w.begin_row : 0;
     for (size_t a = 0; a < n; ++a) {
       const ValueId* codes = w.codes[a];
-      for (size_t i = first; i < w.num_rows; ++i) {
+      for (size_t i = 0; i < w.num_rows; ++i) {
         if (codes[i] == ValueDict::kNullCode) continue;
         postings_[a][codes[i]].push_back(
             static_cast<uint32_t>(w.begin_row + i));
@@ -91,11 +90,18 @@ Status WebDatabase::ValidateBooleanQuery(const SelectionQuery& query) const {
 
 Result<std::vector<uint32_t>> WebDatabase::ExecuteRows(
     const SelectionQuery& query) const {
+  return ExecuteRowsFrom(query, 0);
+}
+
+Result<std::vector<uint32_t>> WebDatabase::ExecuteRowsFrom(
+    const SelectionQuery& query, size_t from_row) const {
   AIMQ_RETURN_NOT_OK(ValidateBooleanQuery(query));
 
   // Index-assisted evaluation: drive the scan from the most selective
   // equality predicate's posting list, verify the rest per candidate row.
-  // Packed sources keep no posting lists; they use the block scan below.
+  // Only the list's tail from from_row is scanned, so a delta evaluates the
+  // rows a full probe would evaluate in that range. Packed sources keep no
+  // posting lists; they use the block scan below.
   const std::vector<uint32_t>* candidates = nullptr;
   static const std::vector<uint32_t> kEmpty;
   if (!postings_.empty()) {
@@ -111,10 +117,17 @@ Result<std::vector<uint32_t>> WebDatabase::ExecuteRows(
     }
   }
 
-  const CodedConjunction compiled = CodedConjunction::Compile(query, *cols_);
-  Result<std::vector<uint32_t>> out =
-      candidates != nullptr ? compiled.EvaluateCandidates(*candidates)
-                            : compiled.EvaluateAll();
+  Result<std::vector<uint32_t>> out = std::vector<uint32_t>();
+  if (candidates == nullptr) {
+    out = CodedConjunction::Compile(query, *cols_).EvaluateAll(from_row);
+  } else {
+    const auto tail = std::lower_bound(candidates->begin(), candidates->end(),
+                                       static_cast<uint32_t>(from_row));
+    if (tail != candidates->end()) {
+      out = CodedConjunction::Compile(query, *cols_)
+                .EvaluateCandidates(std::span(tail, candidates->end()));
+    }
+  }
   if (!out.ok()) return out;
   AccountProbe(out.ValueOrDie().size());
   return out;

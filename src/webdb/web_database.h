@@ -121,6 +121,16 @@ class WebDatabase {
   virtual Result<std::vector<uint32_t>> ExecuteRows(
       const SelectionQuery& query) const;
 
+  /// ExecuteRows restricted to rows [from_row, NumTuples()): the delta a
+  /// probe-cache entry covering the first from_row rows of this source's
+  /// lineage has not seen (ProbeCache extends entries with it). The
+  /// candidate scan starts at the driving posting list's
+  /// lower_bound(from_row); block scans skip the blocks before from_row. Evaluates this source's own snapshot
+  /// even when a subclass reroutes ExecuteRows (a shard facade's snapshot is
+  /// the global one, so the answer is the same). Accounted like a probe.
+  Result<std::vector<uint32_t>> ExecuteRowsFrom(const SelectionQuery& query,
+                                                size_t from_row) const;
+
   /// Executes a precise conjunctive query and returns the matching tuples —
   /// ExecuteRows materialized through the dictionaries.
   virtual Result<std::vector<Tuple>> Execute(const SelectionQuery& query) const;
@@ -150,11 +160,6 @@ class WebDatabase {
   const std::shared_ptr<const ColumnarRelation>& columnar() const {
     return cols_;
   }
-
-  /// snapshot_version() of the snapshot this source evaluates against
-  /// (0 outside live ingest). Probe-cache entries record it so superseded
-  /// versions can be aged out on publish.
-  uint64_t SnapshotVersion() const { return cols_->snapshot_version(); }
 
   /// Probe accounting across all Execute calls.
   const ProbeStats& stats() const { return stats_; }

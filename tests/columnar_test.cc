@@ -10,7 +10,9 @@
 
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <vector>
 #include <unistd.h>
 
 #include "datagen/cardb.h"
@@ -230,7 +232,8 @@ TEST(ColumnarExtendTest, ExtendIsBitIdenticalToFromScratchEncode) {
   auto extended = ColumnarRelation::Extend(*base.columnar(), delta, 1);
   ASSERT_TRUE(extended.ok());
   EXPECT_EQ((*extended)->snapshot_version(), 1u);
-  EXPECT_NE((*extended)->snapshot_uid(), base.columnar()->snapshot_uid());
+  // The first Extend of a snapshot continues its lineage.
+  EXPECT_EQ((*extended)->lineage_uid(), base.columnar()->lineage_uid());
   ExpectSnapshotsIdentical(**extended, *all.columnar());
 }
 
@@ -310,6 +313,102 @@ TEST(ColumnarExtendTest, ExtendFromPackedBaseMatchesPlainEncode) {
   ASSERT_TRUE(extended.ok());
   EXPECT_FALSE((*extended)->packed());  // Extend produces plain snapshots
   ExpectSnapshotsIdentical(**extended, *all.columnar());
+}
+
+TEST(ColumnarExtendTest, SecondExtendOfOneBaseStartsANewLineage) {
+  Relation all(MixedSchema());
+  std::vector<Tuple> first, second;
+  for (int i = 0; i < 6; ++i) {
+    Tuple t({Value::Cat(i % 2 == 0 ? "Ford" : "Kia"), Value::Num(i % 3)});
+    ASSERT_TRUE(all.Append(t).ok());
+    (i < 3 ? first : second).push_back(std::move(t));
+  }
+  Relation base_rows(MixedSchema());
+  for (const Tuple& t : first) ASSERT_TRUE(base_rows.Append(t).ok());
+  const auto base = base_rows.columnar();
+
+  auto heir = ColumnarRelation::Extend(*base, second, 1);
+  auto sibling = ColumnarRelation::Extend(*base, second, 1);
+  ASSERT_TRUE(heir.ok());
+  ASSERT_TRUE(sibling.ok());
+  EXPECT_EQ((*heir)->lineage_uid(), base->lineage_uid());
+  EXPECT_NE((*sibling)->lineage_uid(), base->lineage_uid());
+  EXPECT_NE((*sibling)->lineage_uid(), (*heir)->lineage_uid());
+  // The sibling rebuilt its canonical index rather than inheriting one;
+  // both encode exactly what a from-scratch encode does.
+  ExpectSnapshotsIdentical(**heir, *all.columnar());
+  ExpectSnapshotsIdentical(**sibling, *all.columnar());
+
+  // A builder told to continue a snapshot obeys the same first-heir rule.
+  const auto build = [&](const ColumnarRelation* lineage_base) {
+    ColumnarBuilder::Options opts;
+    opts.lineage_base = lineage_base;
+    auto builder = ColumnarBuilder::Create(all.schema(), opts);
+    EXPECT_TRUE(builder.ok());
+    for (const Tuple& t : all.tuples()) {
+      EXPECT_TRUE((*builder)->AppendRow(t).ok());
+    }
+    auto packed = (*builder)->Finish();
+    EXPECT_TRUE(packed.ok());
+    return *packed;
+  };
+  const auto continued = build(sibling->get());
+  EXPECT_EQ(continued->lineage_uid(), (*sibling)->lineage_uid());
+  EXPECT_NE(build(sibling->get())->lineage_uid(), (*sibling)->lineage_uid());
+  EXPECT_NE(build(nullptr)->lineage_uid(), (*sibling)->lineage_uid());
+  // The heir's own heir continues the lineage again.
+  auto grandchild = ColumnarRelation::Extend(**heir, {}, 2);
+  ASSERT_TRUE(grandchild.ok());
+  EXPECT_EQ((*grandchild)->lineage_uid(), base->lineage_uid());
+}
+
+TEST(ColumnarExtendTest, ChainedIndexHandoffsMatchFromScratchCanonicalRows) {
+  CarDbSpec spec;
+  spec.num_tuples = 120;
+  spec.seed = 31;
+  const Relation source = CarDbGenerator(spec).Generate();
+
+  // Every delta repeats rows already published (and rows of its own), so
+  // canonical rows must resolve against the handed-over index, not just
+  // within the delta.
+  Relation all(source.schema());
+  Relation base_rows(source.schema());
+  for (size_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(all.Append(source.tuple(i)).ok());
+    ASSERT_TRUE(base_rows.Append(source.tuple(i)).ok());
+  }
+  std::shared_ptr<const ColumnarRelation> snap = base_rows.columnar();
+  std::shared_ptr<const ColumnarRelation> branch_base;
+  for (size_t d = 0; d < 8; ++d) {
+    std::vector<Tuple> delta;
+    for (size_t i = 0; i < 10; ++i) {
+      const size_t fresh = 40 + d * 10 + i;
+      const size_t row = i % 3 == 0 ? (d * 7 + i) % fresh : fresh;
+      delta.push_back(source.tuple(row % source.NumTuples()));
+    }
+    delta.push_back(delta.front());
+    for (const Tuple& t : delta) ASSERT_TRUE(all.Append(t).ok());
+    auto next = ColumnarRelation::Extend(*snap, delta, d + 1);
+    ASSERT_TRUE(next.ok()) << "delta " << d;
+    EXPECT_EQ((*next)->lineage_uid(), base_rows.columnar()->lineage_uid());
+    if (d == 3) branch_base = snap;
+    snap = *next;
+    ExpectSnapshotsIdentical(*snap, *all.columnar());
+  }
+
+  // Extending a snapshot whose index its first heir already took: the
+  // second heir rebuilds it and still matches a from-scratch encode.
+  Relation branch_all(source.schema());
+  for (size_t row = 0; row < branch_base->NumRows(); ++row) {
+    ASSERT_TRUE(branch_all.Append(branch_base->MaterializeTuple(row)).ok());
+  }
+  const std::vector<Tuple> tail = {source.tuple(0), source.tuple(119),
+                                   source.tuple(0)};
+  for (const Tuple& t : tail) ASSERT_TRUE(branch_all.Append(t).ok());
+  auto branch = ColumnarRelation::Extend(*branch_base, tail, 99);
+  ASSERT_TRUE(branch.ok());
+  EXPECT_NE((*branch)->lineage_uid(), branch_base->lineage_uid());
+  ExpectSnapshotsIdentical(**branch, *branch_all.columnar());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // LiveEngine unit tests: versioned publish/refresh semantics, ingest
-// validation, version capture across swaps, shared-cache aging, and the
-// stats surface the serving metrics read.
+// validation, version capture across swaps, shared-cache carry-forward, and
+// the stats surface the serving metrics read.
 
 #include "live/live_engine.h"
 
@@ -225,16 +225,53 @@ TEST_F(LiveEngineTest, RefreshKnowledgeSharesSnapshotAndResetsStaleness) {
   EXPECT_TRUE(v1->engine->Answer(ModelQuery("Camry")).ok());
 }
 
-TEST_F(LiveEngineTest, PublishAgesOutSupersededCacheEntries) {
-  auto live = MakeLive(/*cache_capacity=*/128);
-  ASSERT_NE(live, nullptr);
+TEST_F(LiveEngineTest, PublishCarriesCacheEntriesForward) {
+  // A source over a snapshot of its own: only the first Extend of a
+  // snapshot continues its lineage, and other tests' publishes extend
+  // db_'s.
+  Relation own_rows(data_->schema());
+  for (const Tuple& t : data_->tuples()) own_rows.AppendUnchecked(t);
+  const WebDatabase own_db("CarDB", std::move(own_rows));
+  LiveOptions lopts;
+  lopts.engine = *options_;
+  lopts.engine.probe_cache_capacity = 1 << 14;
+  auto created = LiveEngine::Create(&own_db, *knowledge_, lopts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const std::unique_ptr<LiveEngine> live = created.TakeValue();
   ASSERT_NE(live->probe_cache(), nullptr);
   ASSERT_TRUE(live->Acquire()->engine->Answer(ModelQuery("Camry")).ok());
-  ASSERT_GT(live->probe_cache()->size(), 0u);
+  const size_t cached = live->probe_cache()->size();
+  ASSERT_GT(cached, 0u);
 
+  // The publish keeps every entry.
+  ASSERT_TRUE(live->Ingest(DeltaRows(0, 20)).ok());
   ASSERT_TRUE(live->PublishSnapshot().ok());
-  EXPECT_EQ(live->probe_cache()->size(), 0u);
-  EXPECT_GT(live->probe_cache()->stats().version_evictions, 0u);
+  EXPECT_EQ(live->probe_cache()->size(), cached);
+  EXPECT_EQ(live->probe_cache()->stats().version_evictions, 0u);
+
+  // The next version's answers extend those entries over the 20 new rows
+  // and equal a fresh, cache-free engine's over the same rows.
+  const auto v1 = live->Acquire();
+  Relation rows(db_->schema());
+  for (size_t row = 0; row < v1->snapshot->NumRows(); ++row) {
+    rows.AppendUnchecked(v1->snapshot->MaterializeTuple(row));
+  }
+  const WebDatabase fresh_db("CarDB", std::move(rows));
+  AimqOptions serial = *options_;
+  serial.probe_cache_capacity = 0;
+  AimqEngine fresh(&fresh_db, *knowledge_, serial);
+  for (const char* model : {"Camry", "Civic"}) {
+    auto served = v1->engine->Answer(ModelQuery(model));
+    auto expected = fresh.Answer(ModelQuery(model));
+    ASSERT_TRUE(served.ok());
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(served->size(), expected->size()) << model;
+    for (size_t i = 0; i < expected->size(); ++i) {
+      EXPECT_EQ((*served)[i].tuple, (*expected)[i].tuple) << model;
+      EXPECT_EQ((*served)[i].similarity, (*expected)[i].similarity) << model;
+    }
+  }
+  EXPECT_GT(live->probe_cache()->stats().extended, 0u);
 }
 
 TEST_F(LiveEngineTest, ShardedVersionsReplanRangesOnPublish) {

@@ -4,7 +4,12 @@
 // built at the query's *captured* (snapshot, knowledge) version. Exercised
 // across the serving matrix: plain/packed storage × sharded/unsharded ×
 // client threads {1, 8}, with a publisher thread swapping versions under
-// the clients the whole time.
+// the clients the whole time. The Cached* variants run the same matrix with
+// the shared probe cache and coalescing on, so cache entries carry forward
+// across the publishes; their probe accounting differs from a cache-free
+// engine's by design, so they compare answers, similarities,
+// tuples_relevant, max_relax_depth and the logical probe count
+// (queries_issued + deduped_probes).
 
 #include "live/live_engine.h"
 
@@ -28,10 +33,12 @@ struct LiveConfig {
   bool packed = false;
   size_t num_shards = 1;
   size_t client_threads = 1;
+  bool cached = false;  // shared probe cache + coalescing across versions
 };
 
 std::string ConfigName(const LiveConfig& c) {
-  return std::string(c.packed ? "packed" : "plain") + "_shards" +
+  return std::string(c.cached ? "cached_" : "") +
+         (c.packed ? "packed" : "plain") + "_shards" +
          std::to_string(c.num_shards) + "_threads" +
          std::to_string(c.client_threads);
 }
@@ -78,7 +85,7 @@ class LiveIngestPropertyTest : public ::testing::Test {
     options_->tsim = 0.4;
     options_->top_k = 8;
     // Determinism knobs: serial relaxation fan-out, no shared probe cache
-    // (the property is about version capture, not cache accounting).
+    // (the reference stacks; cached configs turn it on for the live stack).
     options_->num_threads = 1;
     options_->probe_cache_capacity = 0;
 
@@ -117,9 +124,11 @@ class LiveIngestPropertyTest : public ::testing::Test {
 
   // Verifies every observation against a memoized from-scratch reference at
   // its captured version; reports the number of distinct versions seen.
+  // \p cached observations ran through a shared cache: their per-probe
+  // accounting is checked only as the logical probe count.
   static void VerifyObservations(const std::vector<Observation>& observations,
                                  const std::vector<ImpreciseQuery>& queries,
-                                 size_t* versions_seen) {
+                                 bool cached, size_t* versions_seen) {
     std::map<std::pair<uint64_t, uint64_t>, ReferenceStack> references;
     for (const Observation& ob : observations) {
       const auto key = std::make_pair(ob.version->snapshot_version,
@@ -155,22 +164,29 @@ class LiveIngestPropertyTest : public ::testing::Test {
         ASSERT_EQ(ob.answers[i].similarity, (*expected)[i].similarity)
             << where << " answer " << i;
       }
+      EXPECT_EQ(ob.stats.tuples_relevant.load(),
+                ref_stats.tuples_relevant.load())
+          << where;
+      EXPECT_EQ(ob.stats.max_relax_depth.load(),
+                ref_stats.max_relax_depth.load())
+          << where;
+      if (cached) {
+        EXPECT_EQ(
+            ob.stats.queries_issued.load() + ob.stats.deduped_probes.load(),
+            ref_stats.queries_issued.load() + ref_stats.deduped_probes.load())
+            << where;
+        continue;
+      }
       EXPECT_EQ(ob.stats.queries_issued.load(),
                 ref_stats.queries_issued.load())
           << where;
       EXPECT_EQ(ob.stats.tuples_extracted.load(),
                 ref_stats.tuples_extracted.load())
           << where;
-      EXPECT_EQ(ob.stats.tuples_relevant.load(),
-                ref_stats.tuples_relevant.load())
-          << where;
       EXPECT_EQ(ob.stats.cache_hits.load(), ref_stats.cache_hits.load())
           << where;
       EXPECT_EQ(ob.stats.deduped_probes.load(),
                 ref_stats.deduped_probes.load())
-          << where;
-      EXPECT_EQ(ob.stats.max_relax_depth.load(),
-                ref_stats.max_relax_depth.load())
           << where;
     }
     *versions_seen = references.size();
@@ -186,6 +202,10 @@ class LiveIngestPropertyTest : public ::testing::Test {
     lopts.engine = *options_;
     lopts.shards.num_shards = config.num_shards;
     lopts.shards.packed_shards = config.packed;
+    if (config.cached) {
+      lopts.engine.probe_cache_capacity = 1 << 14;
+      lopts.shards.coalesce_probes = true;
+    }
     auto created = LiveEngine::Create(source.get(), *knowledge_, lopts);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     std::unique_ptr<LiveEngine> live = created.TakeValue();
@@ -196,6 +216,26 @@ class LiveIngestPropertyTest : public ::testing::Test {
 
     const std::vector<ImpreciseQuery> queries = {
         ModelQuery("Camry"), ModelQuery("Civic"), ModelQuery("Altima")};
+
+    std::mutex record_mu;
+    std::vector<Observation> observations;
+    // Answers every query once on the current version and records it.
+    const auto observe_all = [&] {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        Observation ob;
+        ob.query_index = q;
+        ob.version = live->Acquire();
+        auto answers = ob.version->engine->Answer(
+            queries[q], RelaxationStrategy::kGuided, &ob.stats);
+        ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+        ob.answers = std::move(*answers);
+        std::lock_guard<std::mutex> lock(record_mu);
+        observations.push_back(std::move(ob));
+      }
+    };
+    // Warm the cache at the initial version, so that later versions' probes
+    // find entries to extend.
+    observe_all();
 
     // Publisher thread: an ingest/publish/refresh script racing the
     // clients — three snapshot publishes and one knowledge refresh.
@@ -220,8 +260,6 @@ class LiveIngestPropertyTest : public ::testing::Test {
     // Client threads: capture a version, answer on it, record everything.
     // Clients keep querying until the publisher finishes so the
     // interleaving covers every version transition.
-    std::mutex record_mu;
-    std::vector<Observation> observations;
     std::vector<std::thread> clients;
     for (size_t t = 0; t < config.client_threads; ++t) {
       clients.emplace_back([&, t] {
@@ -247,11 +285,20 @@ class LiveIngestPropertyTest : public ::testing::Test {
     }
     publisher.join();
     for (std::thread& t : clients) t.join();
+    // Once more on the final version.
+    observe_all();
 
     ASSERT_GE(observations.size(), config.client_threads * queries.size());
     size_t versions_seen = 0;
-    VerifyObservations(observations, queries, &versions_seen);
-    EXPECT_GE(versions_seen, 1u);
+    VerifyObservations(observations, queries, config.cached, &versions_seen);
+    EXPECT_GE(versions_seen, 2u);
+    if (config.cached) {
+      // The final version's probes extended entries cached at earlier
+      // versions instead of probing afresh, and nothing aged out.
+      const ProbeCacheStats stats = live->probe_cache()->stats();
+      EXPECT_GT(stats.extended, 0u);
+      EXPECT_EQ(stats.version_evictions, 0u);
+    }
     // The final version reflects the whole script.
     const auto final_version = live->Acquire();
     EXPECT_EQ(final_version->snapshot_version, 3u);
@@ -292,6 +339,46 @@ TEST_F(LiveIngestPropertyTest, PackedShardedEightClients) {
 
 TEST_F(LiveIngestPropertyTest, PlainShardedSingleClient) {
   RunConfig({/*packed=*/false, /*num_shards=*/4, /*client_threads=*/1});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPlainUnshardedSingleClient) {
+  RunConfig({/*packed=*/false, /*num_shards=*/1, /*client_threads=*/1,
+             /*cached=*/true});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPlainUnshardedEightClients) {
+  RunConfig({/*packed=*/false, /*num_shards=*/1, /*client_threads=*/8,
+             /*cached=*/true});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPlainShardedSingleClient) {
+  RunConfig({/*packed=*/false, /*num_shards=*/4, /*client_threads=*/1,
+             /*cached=*/true});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPlainShardedEightClients) {
+  RunConfig({/*packed=*/false, /*num_shards=*/4, /*client_threads=*/8,
+             /*cached=*/true});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPackedUnshardedSingleClient) {
+  RunConfig({/*packed=*/true, /*num_shards=*/1, /*client_threads=*/1,
+             /*cached=*/true});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPackedUnshardedEightClients) {
+  RunConfig({/*packed=*/true, /*num_shards=*/1, /*client_threads=*/8,
+             /*cached=*/true});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPackedShardedSingleClient) {
+  RunConfig({/*packed=*/true, /*num_shards=*/4, /*client_threads=*/1,
+             /*cached=*/true});
+}
+
+TEST_F(LiveIngestPropertyTest, CachedPackedShardedEightClients) {
+  RunConfig({/*packed=*/true, /*num_shards=*/4, /*client_threads=*/8,
+             /*cached=*/true});
 }
 
 }  // namespace

@@ -284,7 +284,7 @@ TEST_F(LiveServiceTest, PrometheusExportsLiveIngestFamilies) {
         "# TYPE aimq_snapshot_publishes_total counter",
         "# TYPE aimq_knowledge_refreshes_total counter",
         "# TYPE aimq_snapshot_publish_seconds histogram",
-        "# TYPE aimq_probe_cache_version_evictions_total counter"}) {
+        "# TYPE aimq_probe_cache_extended_total counter"}) {
     EXPECT_TRUE(HasLinePrefix(lines, family)) << "missing: " << family;
   }
   EXPECT_EQ(MetricValue(lines, "aimq_snapshot_version"), 1.0);

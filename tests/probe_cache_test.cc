@@ -161,7 +161,15 @@ WebDatabase ExtendDb(const WebDatabase& base, const std::vector<Tuple>& delta,
   return WebDatabase(base.name(), *extended);
 }
 
-TEST(ProbeCacheTest, EvictVersionsBelowDropsOnlySupersededEntries) {
+// The rows \p db's own scan returns for \p query (no cache).
+std::vector<uint32_t> DirectRows(const WebDatabase& db,
+                                 const SelectionQuery& query) {
+  auto rows = db.ExecuteRows(query);
+  EXPECT_TRUE(rows.ok());
+  return rows.ok() ? *rows : std::vector<uint32_t>{};
+}
+
+TEST(ProbeCacheTest, PublishedVersionsKeepEveryEntry) {
   WebDatabase v0 = MakeDb();
   WebDatabase v1 =
       ExtendDb(v0, {Tuple({Value::Cat("Ford"), Value::Cat("Focus")})}, 1);
@@ -172,20 +180,26 @@ TEST(ProbeCacheTest, EvictVersionsBelowDropsOnlySupersededEntries) {
   ASSERT_TRUE(cache.Execute(v1, MakeQuery("Ford")).ok());
   ASSERT_EQ(cache.size(), 3u);
 
-  EXPECT_EQ(cache.EvictVersionsBelow(1), 2u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.Contains(v0, MakeQuery("Toyota")));
-  EXPECT_FALSE(cache.Contains(v0, MakeQuery("Honda")));
+  // Nothing ages out: the v0 entries serve v1 (the delta adds no Toyota or
+  // Honda row) and keep serving v0.
   EXPECT_TRUE(cache.Contains(v1, MakeQuery("Ford")));
-
-  // Aging is accounted separately from LRU pressure.
+  for (const char* make : {"Toyota", "Honda"}) {
+    EXPECT_TRUE(cache.Contains(v0, MakeQuery(make))) << make;
+    EXPECT_TRUE(cache.Contains(v1, MakeQuery(make))) << make;
+    for (const WebDatabase* db : {&v1, &v0}) {
+      bool hit = false;
+      auto rows = cache.ExecuteRows(*db, MakeQuery(make), &hit);
+      ASSERT_TRUE(rows.ok());
+      EXPECT_TRUE(hit) << make;
+      EXPECT_EQ(**rows, DirectRows(*db, MakeQuery(make))) << make;
+    }
+  }
+  EXPECT_EQ(cache.size(), 3u);
   const ProbeCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.version_evictions, 2u);
+  EXPECT_EQ(stats.version_evictions, 0u);
   EXPECT_EQ(stats.evictions, 0u);
-
-  // Idempotent once the old version is gone.
-  EXPECT_EQ(cache.EvictVersionsBelow(1), 0u);
-  EXPECT_EQ(cache.stats().version_evictions, 2u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.extended, 2u);  // Toyota and Honda, once each
 }
 
 TEST(ProbeCacheTest, StaleVersionEntriesNeverAnswerNewVersionProbes) {
@@ -196,19 +210,145 @@ TEST(ProbeCacheTest, StaleVersionEntriesNeverAnswerNewVersionProbes) {
   ASSERT_EQ((*old_rows)->size(), 2u);
 
   // Same logical query against the extended snapshot: the cached v0 answer
-  // must not be served even though it was never explicitly evicted — the
-  // key embeds the snapshot version.
+  // is not served as is — it is extended over the delta row, which matches.
   WebDatabase v1 =
       ExtendDb(v0, {Tuple({Value::Cat("Toyota"), Value::Cat("Prius")})}, 1);
-  bool hit = true;
+  bool hit = false;
   auto new_rows = cache.ExecuteRows(v1, MakeQuery("Toyota"), &hit);
   ASSERT_TRUE(new_rows.ok());
-  EXPECT_FALSE(hit);
+  EXPECT_TRUE(hit);
   EXPECT_EQ((*new_rows)->size(), 3u);
+  EXPECT_EQ(cache.stats().extended, 1u);
+}
+
+TEST(ProbeCacheTest, ExtensionEvaluatesOnlyTheDeltaRows) {
+  WebDatabase v0 = MakeDb();
+  ProbeCache cache(8);
+  ASSERT_TRUE(cache.ExecuteRows(v0, MakeQuery("Toyota")).ok());
+  WebDatabase v1 =
+      ExtendDb(v0,
+               {Tuple({Value::Cat("Toyota"), Value::Cat("Prius")}),
+                Tuple({Value::Cat("Honda"), Value::Cat("Fit")}),
+                Tuple({Value::Cat("Toyota"), Value::Cat("Camry")})},
+               1);
+
+  bool hit = false;
+  auto rows = cache.ExecuteRows(v1, MakeQuery("Toyota"), &hit);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(**rows, (std::vector<uint32_t>{0, 1, 3, 5}));
+  // One delta probe reached v1; the full scan was spared.
+  EXPECT_EQ(v1.stats().queries_issued, 1u);
+  EXPECT_EQ(v1.stats().tuples_returned, 2u);
+  EXPECT_EQ(**rows, DirectRows(v1, MakeQuery("Toyota")));
+  ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.extended, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // The entry now covers v1: the next lookup is a plain hit on that list.
+  auto again = cache.ExecuteRows(v1, MakeQuery("Toyota"), &hit);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again->get(), rows->get());
+  EXPECT_EQ(v1.stats().queries_issued, 2u);  // the direct check above
+  EXPECT_EQ(cache.stats().extended, 1u);
+}
+
+TEST(ProbeCacheTest, EmptyDeltaRestampsTheSameList) {
+  WebDatabase v0 = MakeDb();
+  ProbeCache cache(8);
+  auto old_rows = cache.ExecuteRows(v0, MakeQuery("Honda"));
+  ASSERT_TRUE(old_rows.ok());
+  WebDatabase v1 =
+      ExtendDb(v0, {Tuple({Value::Cat("Ford"), Value::Cat("Focus")})}, 1);
+
+  bool hit = false;
+  auto new_rows = cache.ExecuteRows(v1, MakeQuery("Honda"), &hit);
+  ASSERT_TRUE(new_rows.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(new_rows->get(), old_rows->get());  // no copy
+  EXPECT_EQ(cache.stats().extended, 1u);
+
+  // Re-stamped at v1's row count: no second extension.
+  auto again = cache.ExecuteRows(v1, MakeQuery("Honda"), &hit);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), old_rows->get());
+  EXPECT_EQ(cache.stats().extended, 1u);
+  EXPECT_EQ(v1.stats().queries_issued, 1u);
+}
+
+TEST(ProbeCacheTest, OlderReaderGetsThePrefixAndLeavesTheEntry) {
+  WebDatabase v0 = MakeDb();
+  WebDatabase v1 =
+      ExtendDb(v0, {Tuple({Value::Cat("Toyota"), Value::Cat("Prius")})}, 1);
+  ProbeCache cache(8);
+  auto newest = cache.ExecuteRows(v1, MakeQuery("Toyota"));
+  ASSERT_TRUE(newest.ok());
+  ASSERT_EQ(**newest, (std::vector<uint32_t>{0, 1, 3}));
+
+  bool hit = false;
+  auto older = cache.ExecuteRows(v0, MakeQuery("Toyota"), &hit);
+  ASSERT_TRUE(older.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(**older, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(v0.stats().queries_issued, 0u);
+
+  // The v1 entry is untouched; a prefix that is the whole list is the list.
+  auto current = cache.ExecuteRows(v1, MakeQuery("Toyota"), &hit);
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(current->get(), newest->get());
+  auto honda = cache.ExecuteRows(v1, MakeQuery("Honda"));
+  ASSERT_TRUE(honda.ok());
+  auto honda_older = cache.ExecuteRows(v0, MakeQuery("Honda"), &hit);
+  ASSERT_TRUE(honda_older.ok());
+  EXPECT_EQ(honda_older->get(), honda->get());
+  const ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.extended, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(ProbeCacheTest, DeltaErrorIsNotCachedAndTheEntrySurvives) {
+  // A range predicate on a categorical attribute fails on every non-null
+  // row it reaches. v0's Toyota rows hold no Model, so v0 answers cleanly;
+  // v1 adds a Toyota row with a Model, which the delta probe must reject.
+  Relation data(TwoColumnSchema());
+  ASSERT_TRUE(data.Append(Tuple({Value::Cat("Toyota"), Value()})).ok());
+  ASSERT_TRUE(
+      data.Append(Tuple({Value::Cat("Honda"), Value::Cat("Civic")})).ok());
+  WebDatabase v0("ToyDB", std::move(data));
+  const SelectionQuery query(
+      {Predicate::Eq("Make", Value::Cat("Toyota")),
+       Predicate("Model", CompareOp::kLt, Value::Num(5))});
+  ProbeCache cache(8);
+  auto old_rows = cache.ExecuteRows(v0, query);
+  ASSERT_TRUE(old_rows.ok()) << old_rows.status().ToString();
+  EXPECT_TRUE((*old_rows)->empty());
+
+  WebDatabase v1 =
+      ExtendDb(v0, {Tuple({Value::Cat("Toyota"), Value::Cat("Prius")})}, 1);
+  const auto direct = v1.ExecuteRows(query);
+  ASSERT_FALSE(direct.ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto extended = cache.ExecuteRows(v1, query);
+    ASSERT_FALSE(extended.ok());
+    EXPECT_EQ(extended.status().ToString(), direct.status().ToString());
+  }
+  // Every attempt re-evaluated the delta: the failure was never cached.
+  EXPECT_EQ(cache.stats().extended, 2u);
+
+  // The v0 entry still serves v0 readers, unchanged.
+  bool hit = false;
+  auto again = cache.ExecuteRows(v0, query, &hit);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again->get(), old_rows->get());
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // Hits hand out the entry's row list itself; a holder keeps reading it
-// however the cache drops the entry afterwards.
+// however the cache drops or replaces the entry afterwards.
 TEST(ProbeCacheTest, HitHandleOutlivesEvictionAgingAndClear) {
   WebDatabase v0 = MakeDb();
   ProbeCache cache(1);
@@ -227,21 +367,29 @@ TEST(ProbeCacheTest, HitHandleOutlivesEvictionAgingAndClear) {
   ASSERT_FALSE(cache.Contains(v0, MakeQuery("Toyota")));
   EXPECT_EQ(**held, toyota_rows);
 
-  // Version aging.
+  // A publish ages the entry: the next version extends it into a new list
+  // that replaces the one the holder has.
   auto honda = cache.ExecuteRows(v0, MakeQuery("Honda"), &hit);
   ASSERT_TRUE(honda.ok());
   ASSERT_TRUE(hit);
   WebDatabase v1 =
-      ExtendDb(v0, {Tuple({Value::Cat("Ford"), Value::Cat("Focus")})}, 1);
-  EXPECT_EQ(cache.EvictVersionsBelow(1), 1u);
+      ExtendDb(v0, {Tuple({Value::Cat("Honda"), Value::Cat("Fit")})}, 1);
+  auto honda_v1 = cache.ExecuteRows(v1, MakeQuery("Honda"), &hit);
+  ASSERT_TRUE(honda_v1.ok());
+  ASSERT_TRUE(hit);
+  EXPECT_NE(honda_v1->get(), honda->get());
+  EXPECT_EQ(**honda_v1, (std::vector<uint32_t>{2, 3}));
+  EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(**honda, std::vector<uint32_t>{2});
 
   // Clear.
-  auto ford = cache.ExecuteRows(v1, MakeQuery("Ford"));
+  auto ford = cache.ExecuteRows(
+      v1, SelectionQuery({Predicate::Eq("Model", Value::Cat("Fit"))}));
   ASSERT_TRUE(ford.ok());
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(**ford, std::vector<uint32_t>{3});
+  EXPECT_EQ(**honda_v1, (std::vector<uint32_t>{2, 3}));
   EXPECT_EQ(**held, toyota_rows);
 }
 

@@ -2,7 +2,8 @@
 // probe must cost exactly one source scan — the first arrival leads, the
 // rest park on its flight and are handed the leader's answer. Followers
 // account as cache hits (and `coalesced`), and errors propagate to every
-// waiter without being cached.
+// waiter without being cached. Flights are per (key, source rows): sessions
+// on different snapshots of one lineage never share one.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -31,6 +33,8 @@ class GatedDb : public WebDatabase {
  public:
   GatedDb(std::string name, Relation data, bool fail = false)
       : WebDatabase(std::move(name), std::move(data)), fail_(fail) {}
+  GatedDb(std::string name, std::shared_ptr<const ColumnarRelation> cols)
+      : WebDatabase(std::move(name), std::move(cols)), fail_(false) {}
 
   Result<std::vector<uint32_t>> ExecuteRows(
       const SelectionQuery& query) const override {
@@ -68,6 +72,31 @@ Relation SmallCarDb() {
 
 SelectionQuery ToyotaQuery() {
   return SelectionQuery({Predicate::Eq("Make", Value::Cat("Toyota"))});
+}
+
+// \p base's snapshot plus one more Toyota row: the next snapshot of its
+// lineage, as a publish makes it.
+std::shared_ptr<const ColumnarRelation> PublishToyota(
+    const WebDatabase& base) {
+  std::vector<Value> values = base.MaterializeRow(0).values();
+  values[0] = Value::Cat("Toyota");
+  auto next =
+      ColumnarRelation::Extend(*base.columnar(), {Tuple(std::move(values))}, 1);
+  EXPECT_TRUE(next.ok());
+  EXPECT_EQ((*next)->lineage_uid(), base.columnar()->lineage_uid());
+  return *next;
+}
+
+// Starts \p n sessions probing ToyotaQuery() against \p db through
+// \p cache; results land in \p results[first, first + n).
+void StartSessions(ProbeCache* cache, const WebDatabase* db, size_t first,
+                   size_t n, std::vector<Result<SharedRows>>* results,
+                   std::vector<std::thread>* sessions) {
+  for (size_t i = first; i < first + n; ++i) {
+    sessions->emplace_back([cache, db, results, i] {
+      (*results)[i] = cache->ExecuteRows(*db, ToyotaQuery());
+    });
+  }
 }
 
 // Spins until \p done() holds, failing the test (and returning false) after
@@ -165,11 +194,10 @@ TEST(ProbeCoalescingTest, LeaderErrorReachesEveryFollowerAndIsNotCached) {
 }
 
 TEST(ProbeCoalescingTest, FollowersParkedAcrossVersionSwapGetLeaderAnswer) {
-  // Regression test for live ingest: a publish ages out superseded cache
-  // entries (EvictVersionsBelow) while probes may be mid-flight. Followers
-  // parked on an old-version leader must still be handed the leader's
-  // old-version answer — the swap invalidates resident entries, never
-  // in-flight probes.
+  // Regression test for live ingest: a publish may land while probes are
+  // mid-flight, and the cache keeps its entries across it. Followers parked
+  // on an old-version leader must still be handed the leader's old-version
+  // answer, while a session on the new version gets the new version's.
   GatedDb db("CarDB", SmallCarDb());
   ProbeCache cache(64);
   cache.EnableCoalescing(true);
@@ -178,19 +206,22 @@ TEST(ProbeCoalescingTest, FollowersParkedAcrossVersionSwapGetLeaderAnswer) {
   std::vector<Result<SharedRows>> results(
       kSessions, Status::Internal("not run"));
   std::vector<std::thread> sessions;
-  for (size_t i = 0; i < kSessions; ++i) {
-    sessions.emplace_back([&, i] {
-      results[i] = cache.ExecuteRows(db, ToyotaQuery());
-    });
-  }
+  StartSessions(&cache, &db, 0, kSessions, &results, &sessions);
   ASSERT_TRUE(WaitFor([&] { return db.calls() == 1; }));
   ASSERT_TRUE(
       WaitFor([&] { return cache.InFlightWaiters() == kSessions - 1; }));
 
   // A snapshot publish lands while the leader is mid-scan and the followers
-  // are parked: every resident entry below the new version is aged out.
-  // (db is at snapshot version 0, so any resident entry would go.)
-  cache.EvictVersionsBelow(1);
+  // are parked, and a session on the new version probes the same key. It
+  // covers one more row, so it must not park on the old leader: it runs
+  // to completion while that leader is still gated.
+  const WebDatabase next("CarDB", PublishToyota(db));
+  bool hit = true;
+  auto newer = cache.ExecuteRows(next, ToyotaQuery(), &hit);
+  ASSERT_TRUE(newer.ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(**newer, *next.ExecuteRows(ToyotaQuery()));
+  EXPECT_EQ(cache.InFlightWaiters(), kSessions - 1);
 
   db.Release();
   for (std::thread& t : sessions) t.join();
@@ -200,6 +231,7 @@ TEST(ProbeCoalescingTest, FollowersParkedAcrossVersionSwapGetLeaderAnswer) {
   EXPECT_EQ(db.calls(), 1);
   const auto expected = db.WebDatabase::ExecuteRows(ToyotaQuery());
   ASSERT_TRUE(expected.ok());
+  ASSERT_NE(*expected, **newer);
   for (size_t i = 0; i < kSessions; ++i) {
     ASSERT_TRUE(results[i].ok()) << "session " << i;
     EXPECT_EQ(**results[i], *expected) << "session " << i;
@@ -207,10 +239,65 @@ TEST(ProbeCoalescingTest, FollowersParkedAcrossVersionSwapGetLeaderAnswer) {
   const ProbeCacheStats stats = cache.stats();
   EXPECT_EQ(stats.coalesced, kSessions - 1);
 
-  // The answer that landed after the swap is an old-version entry; the next
-  // aging pass reclaims it.
-  EXPECT_EQ(cache.EvictVersionsBelow(1), 1u);
-  EXPECT_FALSE(cache.Contains(db, ToyotaQuery()));
+  // The old-version answer that landed last did not shrink the entry: the
+  // new version hits its own list, the old version is served its prefix.
+  auto current = cache.ExecuteRows(next, ToyotaQuery(), &hit);
+  ASSERT_TRUE(current.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(current->get(), newer->get());
+  auto older = cache.ExecuteRows(db, ToyotaQuery(), &hit);
+  ASSERT_TRUE(older.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(**older, *expected);
+  EXPECT_EQ(db.calls(), 1);
+}
+
+TEST(ProbeCoalescingTest, FollowersNeverShareAFlightAcrossRowCounts) {
+  // Two snapshots of one lineage, both gated: old-version and new-version
+  // sessions miss the same key at once. Each row count gets its own leader
+  // and its followers; releasing the newer leader first must answer only
+  // its own followers.
+  GatedDb older("CarDB", SmallCarDb());
+  GatedDb newer("CarDB", PublishToyota(older));
+  ProbeCache cache(64);
+  cache.EnableCoalescing(true);
+
+  constexpr size_t kPerVersion = 3;
+  std::vector<Result<SharedRows>> results(
+      2 * kPerVersion, Status::Internal("not run"));
+  std::vector<std::thread> sessions;
+  StartSessions(&cache, &older, 0, kPerVersion, &results, &sessions);
+  StartSessions(&cache, &newer, kPerVersion, kPerVersion, &results,
+                &sessions);
+  ASSERT_TRUE(WaitFor([&] { return older.calls() == 1; }));
+  ASSERT_TRUE(WaitFor([&] { return newer.calls() == 1; }));
+  ASSERT_TRUE(WaitFor(
+      [&] { return cache.InFlightWaiters() == 2 * (kPerVersion - 1); }));
+
+  newer.Release();
+  for (size_t i = kPerVersion; i < 2 * kPerVersion; ++i) {
+    sessions[i].join();
+  }
+  // The older sessions are still parked on their own, gated leader.
+  EXPECT_EQ(cache.InFlightWaiters(), kPerVersion - 1);
+  older.Release();
+  for (size_t i = 0; i < kPerVersion; ++i) sessions[i].join();
+
+  const auto old_rows = older.WebDatabase::ExecuteRows(ToyotaQuery());
+  const auto new_rows = newer.WebDatabase::ExecuteRows(ToyotaQuery());
+  ASSERT_TRUE(old_rows.ok());
+  ASSERT_TRUE(new_rows.ok());
+  ASSERT_EQ(new_rows->size(), old_rows->size() + 1);
+  for (size_t i = 0; i < 2 * kPerVersion; ++i) {
+    ASSERT_TRUE(results[i].ok()) << "session " << i;
+    EXPECT_EQ(**results[i], i < kPerVersion ? *old_rows : *new_rows)
+        << "session " << i;
+  }
+  EXPECT_EQ(older.calls(), 1);
+  EXPECT_EQ(newer.calls(), 1);
+  const ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.coalesced, 2 * (kPerVersion - 1));
 }
 
 TEST(ProbeCoalescingTest, DisabledCoalescingNeverParksSessions) {

@@ -53,7 +53,7 @@ void AppendBits(std::string* out, double d) {
 
 // Oracle: the query's predicates resolved through the snapshot's
 // dictionaries, rendered as length-prefixed strings, sorted, and prefixed
-// with the snapshot identity. Equal renderings mean equivalent probes.
+// with the snapshot's lineage. Equal renderings mean equivalent probes.
 std::string RenderKey(const ColumnarRelation& cols,
                       const SelectionQuery& query) {
   std::vector<std::string> parts;
@@ -93,8 +93,7 @@ std::string RenderKey(const ColumnarRelation& cols,
   }
   std::sort(parts.begin(), parts.end());
   std::string key;
-  AppendU64(&key, cols.snapshot_version());
-  AppendU64(&key, cols.snapshot_uid());
+  AppendU64(&key, cols.lineage_uid());
   for (const std::string& part : parts) {
     AppendU32(&key, static_cast<uint32_t>(part.size()));
     key += part;

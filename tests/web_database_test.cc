@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "datagen/cardb.h"
+
 namespace aimq {
 namespace {
 
@@ -63,6 +68,60 @@ TEST(WebDatabaseTest, IndexAndScanAgree) {
   auto r = db.Execute(q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 2u);
+}
+
+TEST(WebDatabaseTest, ExecuteRowsFromReturnsTheTailOfEveryScanPath) {
+  CarDbSpec spec;
+  spec.num_tuples = 300;
+  spec.seed = 3;
+  const Relation rel = CarDbGenerator(spec).Generate();
+  ColumnarBuilder::Options opts;
+  opts.store.block_size = 64;  // several blocks, a partial last one
+  auto builder = ColumnarBuilder::Create(rel.schema(), opts);
+  ASSERT_TRUE(builder.ok());
+  for (const Tuple& t : rel.tuples()) {
+    ASSERT_TRUE((*builder)->AppendRow(t).ok());
+  }
+  auto packed = (*builder)->Finish();
+  ASSERT_TRUE(packed.ok());
+
+  // Posting-list tails (plain and packed) and block scans (plain and
+  // packed, which skip whole blocks) must all return exactly the rows of
+  // the full answer at or after from_row.
+  std::vector<std::unique_ptr<WebDatabase>> sources;
+  sources.push_back(std::make_unique<WebDatabase>("CarDB", rel));
+  sources.push_back(std::make_unique<WebDatabase>("CarDB", rel.columnar()));
+  sources.push_back(std::make_unique<WebDatabase>("CarDB", *packed));
+  sources.push_back(std::make_unique<WebDatabase>("CarDB", *packed));
+  sources.back()->BuildPostingLists();
+
+  const Tuple first = rel.tuple(0);
+  const std::vector<SelectionQuery> queries = {
+      SelectionQuery({Predicate::Eq("Make", first.At(0))}),
+      SelectionQuery({Predicate::Eq("Make", first.At(0)),
+                      Predicate::Eq("Model", first.At(1))}),
+      SelectionQuery({Predicate("Price", CompareOp::kLt, Value::Num(9000))}),
+      SelectionQuery({Predicate::Eq("Make", first.At(0)),
+                      Predicate("Price", CompareOp::kGe, Value::Num(6000))}),
+      SelectionQuery({Predicate::Eq("Make", Value::Cat("NoSuchMake"))}),
+  };
+  for (size_t s = 0; s < sources.size(); ++s) {
+    const WebDatabase& db = *sources[s];
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto all = db.ExecuteRows(queries[q]);
+      ASSERT_TRUE(all.ok());
+      for (size_t from : {0, 1, 63, 64, 65, 150, 299, 300, 301}) {
+        std::vector<uint32_t> expected;
+        for (uint32_t row : *all) {
+          if (row >= from) expected.push_back(row);
+        }
+        auto tail = db.ExecuteRowsFrom(queries[q], from);
+        ASSERT_TRUE(tail.ok());
+        EXPECT_EQ(*tail, expected)
+            << "source " << s << " query " << q << " from " << from;
+      }
+    }
+  }
 }
 
 TEST(WebDatabaseTest, EmptyResultForUnknownValue) {
