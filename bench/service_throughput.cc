@@ -214,7 +214,7 @@ ReplayResult RunReplay(
   sopts.packed_shards = flags.packed_shards;
   AimqService service(&db, knowledge, options, sopts);
   if (!service.shard_build_status().ok()) {
-    std::fprintf(stderr, "shard build degraded: %s\n",
+    std::fprintf(stderr, "shard build failed, serving one shard: %s\n",
                  service.shard_build_status().ToString().c_str());
   }
   Status st = service.Start();

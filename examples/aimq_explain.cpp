@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   sopts.packed_shards = packed_shards;
   AimqService service(&db, knowledge.TakeValue(), options, sopts);
   if (!service.shard_build_status().ok()) {
-    std::fprintf(stderr, "shard build degraded to unsharded: %s\n",
+    std::fprintf(stderr, "shard build failed, serving one shard: %s\n",
                  service.shard_build_status().ToString().c_str());
   }
   Status st = service.Start();

@@ -20,7 +20,8 @@
 //                    (0 = none, default 0)
 //   --cache=N        shared probe-cache capacity in entries (default 4096)
 //   --shards=N       row-range engine shards behind the scatter/gather
-//                    facade (default 1 = unsharded; answers are identical)
+//                    facade (default 1: the source is the one shard;
+//                    answers are identical)
 //   --packed-shards  store shard snapshots block-compressed
 //   --no-coalesce    disable cross-query probe coalescing
 //   --tenant-quota=N per-tenant queued-request cap (0 = off, default 0);
@@ -226,7 +227,7 @@ int main(int argc, char** argv) {
   sopts.ingest_trigger_seconds = flags.ingest_trigger_seconds;
   AimqService service(&db, knowledge.TakeValue(), options, sopts);
   if (!service.shard_build_status().ok()) {
-    std::fprintf(stderr, "shard build degraded to unsharded: %s\n",
+    std::fprintf(stderr, "shard build failed, serving one shard: %s\n",
                  service.shard_build_status().ToString().c_str());
   }
   if (service.num_shards() > 1) {

@@ -29,36 +29,42 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
   // ownership (and with zero behavior change when ingest is never used).
   v0->source = std::shared_ptr<const WebDatabase>(initial_source,
                                                   [](const WebDatabase*) {});
-  if (live->options_.shards.num_shards > 1) {
-    Result<std::unique_ptr<ShardedWebDatabase>> facade =
-        ShardedWebDatabase::Create(*initial_source, live->options_.shards);
-    if (facade.ok()) {
-      v0->facade = std::move(*facade);
-    } else {
-      // Same degradation contract as ShardedEngine: serve unsharded and
-      // surface why, rather than refuse to start.
-      v0->shard_build_status = facade.status();
-    }
-  }
+  v0->facade = live->BuildFacade(v0->source, &v0->shard_build_status);
   v0->knowledge = std::make_shared<const KnowledgeVersion>(KnowledgeVersion{
       /*version=*/1, v0->snapshot_version, v0->num_rows,
       std::move(knowledge)});
   v0->knowledge_version = v0->knowledge->version;
-  v0->engine =
-      live->BuildEngine(v0->probe_source(), v0->facade.get(), *v0->knowledge);
+  v0->engine = live->BuildEngine(v0->facade.get(), *v0->knowledge);
   live->current_.store(std::shared_ptr<const ServingVersion>(std::move(v0)),
                        std::memory_order_release);
   return live;
 }
 
+std::shared_ptr<ShardedWebDatabase> LiveEngine::BuildFacade(
+    std::shared_ptr<const WebDatabase> source, Status* status) const {
+  Result<std::unique_ptr<ShardedWebDatabase>> built =
+      ShardedWebDatabase::Create(source, options_.shards);
+  if (!built.ok()) {
+    // Only a packed shard build can fail (block-store / spill setup). Serve
+    // the one-shard plan, which cannot fail, and surface why rather than
+    // refuse to start or publish.
+    *status = built.status();
+    ShardedEngineOptions one_shard = options_.shards;
+    one_shard.num_shards = 1;
+    built = ShardedWebDatabase::Create(std::move(source), one_shard);
+  }
+  std::shared_ptr<ShardedWebDatabase> facade = std::move(*built);
+  if (trace_ != nullptr) facade->SetTraceRecorder(trace_);
+  return facade;
+}
+
 std::unique_ptr<AimqEngine> LiveEngine::BuildEngine(
-    const WebDatabase* probe_source, const ShardedWebDatabase* facade,
-    const KnowledgeVersion& kv) const {
+    const ShardedWebDatabase* facade, const KnowledgeVersion& kv) const {
   // Each version gets its own engine (fresh answer cache: cached answers
   // are version-specific) over a *copy* of the knowledge edition.
-  auto engine = std::make_unique<AimqEngine>(probe_source, kv.knowledge,
-                                             options_.engine);
-  if (facade != nullptr) engine->SetShardRanker(facade);
+  auto engine =
+      std::make_unique<AimqEngine>(facade, kv.knowledge, options_.engine);
+  engine->SetShardRanker(facade);
   // All versions share one probe cache; entries carry forward across
   // publishes, extended over each version's new rows on lookup (nullptr =
   // configured pass-through).
@@ -154,22 +160,6 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
     src->ExtendPostingLists(*cur->source);
   }
 
-  std::shared_ptr<ShardedWebDatabase> facade;
-  Status shard_status = Status::OK();
-  if (options_.shards.num_shards > 1) {
-    // Re-plan row ranges over the grown relation and swap the shard set
-    // generation-at-a-time: the old facade keeps serving its version's
-    // queries until the last one drains.
-    Result<std::unique_ptr<ShardedWebDatabase>> built =
-        ShardedWebDatabase::Create(*src, options_.shards);
-    if (built.ok()) {
-      facade = std::move(*built);
-      if (trace_ != nullptr) facade->SetTraceRecorder(trace_);
-    } else {
-      shard_status = built.status();
-    }
-  }
-
   auto next = std::make_shared<ServingVersion>();
   next->snapshot_version = new_version;
   next->knowledge_version = cur->knowledge->version;
@@ -177,11 +167,12 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
   next->delta_rows = delta.size();
   next->snapshot = truth;
   next->source = src;
-  next->facade = facade;
+  // Re-plan row ranges over the grown relation and swap the shard set
+  // generation-at-a-time: the old facade keeps serving its version's
+  // queries until the last one drains.
+  next->facade = BuildFacade(src, &next->shard_build_status);
   next->knowledge = cur->knowledge;
-  next->shard_build_status = shard_status;
-  next->engine =
-      BuildEngine(next->probe_source(), facade.get(), *next->knowledge);
+  next->engine = BuildEngine(next->facade.get(), *next->knowledge);
 
   truth_ = std::move(truth);
   current_.store(std::shared_ptr<const ServingVersion>(std::move(next)),
@@ -194,7 +185,7 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
 Result<uint64_t> LiveEngine::RefreshKnowledge() {
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
   const std::shared_ptr<const ServingVersion> cur = Acquire();
-  // Mine against the unsharded serving source of the current version; rows
+  // Mine against the serving source of the current version; rows
   // published while mining runs simply raise the next edition's staleness.
   AIMQ_ASSIGN_OR_RETURN(MinedKnowledge mined,
                         BuildKnowledge(*cur->source, options_.engine));
@@ -212,8 +203,7 @@ Result<uint64_t> LiveEngine::RefreshKnowledge() {
   next->facade = cur->facade;
   next->knowledge = std::move(kv);
   next->shard_build_status = cur->shard_build_status;
-  next->engine =
-      BuildEngine(next->probe_source(), next->facade.get(), *next->knowledge);
+  next->engine = BuildEngine(next->facade.get(), *next->knowledge);
 
   current_.store(std::shared_ptr<const ServingVersion>(std::move(next)),
                  std::memory_order_release);
@@ -226,7 +216,7 @@ void LiveEngine::SetTraceRecorder(TraceRecorder* recorder) {
   trace_ = recorder;
   const std::shared_ptr<const ServingVersion> cur = Acquire();
   cur->engine->SetTraceRecorder(recorder);
-  if (cur->facade != nullptr) cur->facade->SetTraceRecorder(recorder);
+  cur->facade->SetTraceRecorder(recorder);
 }
 
 LiveIngestStats LiveEngine::Stats() const {

@@ -11,6 +11,10 @@
 // answer is bit-identical to a from-scratch engine at the query's captured
 // (snapshot, knowledge) pair. See DESIGN.md §5i.
 //
+// Every version's engine probes through the version's shard facade, whose
+// plan is re-cut from the version's source on each publish; unsharded is
+// the one-shard plan, whose shard is the source itself (DESIGN.md §5h).
+//
 // Snapshot production is incremental (ColumnarRelation::Extend): only the
 // delta rows are interned and hashed into the canonical-row index the
 // previous version hands over, and posting lists extend the previous
@@ -71,27 +75,25 @@ struct ServingVersion {
   /// version and for knowledge-only refreshes).
   uint64_t delta_rows = 0;
 
-  /// The plain "truth" snapshot of all rows at this version.
+  /// The plain "truth" snapshot of all rows at this version (null for the
+  /// initial version, whose rows are the external source's).
   std::shared_ptr<const ColumnarRelation> snapshot;
-  /// Unsharded serving source over this version's rows (also what
-  /// knowledge refresh mines against). For the initial version this aliases
-  /// the externally owned source.
+  /// The serving source over this version's rows: what the facade's shards
+  /// are cut from (in a one-shard plan, the shard itself), what the next
+  /// publish extends, and what knowledge refresh mines against. For the
+  /// initial version this aliases the externally owned source.
   std::shared_ptr<const WebDatabase> source;
-  /// Scatter/gather facade; nullptr when unsharded (or degraded).
+  /// The scatter/gather facade the engine probes through and ranks with
+  /// (never null; one shard when unsharded or degraded).
   std::shared_ptr<ShardedWebDatabase> facade;
   std::shared_ptr<const KnowledgeVersion> knowledge;
   /// The engine queries admitted at this version run on. unique_ptr's
   /// shallow constness keeps Answer() callable through a const
   /// ServingVersion.
   std::unique_ptr<AimqEngine> engine;
-  /// OK, or why this version degraded to unsharded operation.
+  /// OK, or why this version's configured shard plan failed to build and
+  /// it fell back to the one-shard plan.
   Status shard_build_status = Status::OK();
-
-  /// The source the engine probes (facade when sharded).
-  const WebDatabase* probe_source() const {
-    return facade != nullptr ? static_cast<const WebDatabase*>(facade.get())
-                             : source.get();
-  }
 };
 
 /// Point-in-time accounting of the live stack (metrics/stats surfaces).
@@ -174,10 +176,15 @@ class LiveEngine {
  private:
   LiveEngine() = default;
 
-  // Builds the engine of a new version: knowledge copy, shard ranker,
-  // shared probe cache, trace recorder.
-  std::unique_ptr<AimqEngine> BuildEngine(const WebDatabase* probe_source,
-                                          const ShardedWebDatabase* facade,
+  // Builds a version's facade over \p source with the configured plan. A
+  // failed (packed) shard build falls back to the one-shard plan and
+  // records why in *status.
+  std::shared_ptr<ShardedWebDatabase> BuildFacade(
+      std::shared_ptr<const WebDatabase> source, Status* status) const;
+
+  // Builds the engine of a new version over \p facade: knowledge copy,
+  // shard ranker, shared probe cache, trace recorder.
+  std::unique_ptr<AimqEngine> BuildEngine(const ShardedWebDatabase* facade,
                                           const KnowledgeVersion& kv) const;
 
   std::string name_;

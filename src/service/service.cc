@@ -36,8 +36,8 @@ AimqService::AimqService(const WebDatabase* source, MinedKnowledge knowledge,
   LiveOptions live_options;
   live_options.engine = std::move(engine_options);
   live_options.shards = ShardOptionsFrom(service_options);
-  // Create degrades (never fails): a packed shard build failure serves
-  // unsharded and surfaces through shard_build_status().
+  // Create never fails: a packed shard build failure falls back to one
+  // shard and surfaces through shard_build_status().
   live_ = LiveEngine::Create(source, std::move(knowledge),
                              std::move(live_options))
               .TakeValue();
@@ -58,8 +58,7 @@ AimqService::AimqService(const WebDatabase* source, MinedKnowledge knowledge,
     }
     EmitLiveIngest(live_->Stats(), out);
     EmitTenants(metrics_.TenantSnapshot(), out);
-    const std::vector<ShardProbeSnapshot> shards = ShardStats();
-    if (!shards.empty()) EmitShards(shards, out);
+    EmitShards(ShardStats(), out);
     EmitBlockStores(BlockStats(), out);
     EmitSimd(out);
     if (trace_ != nullptr) EmitTraceRecorder(*trace_, out);
@@ -261,23 +260,18 @@ Json AimqService::StatsJson() const {
             Json::Num(static_cast<double>(live.last_delta_rows)));
     out.Set("live", std::move(obj));
   }
-  const std::vector<ShardProbeSnapshot> shards = ShardStats();
-  if (!shards.empty()) {
-    Json arr = Json::Arr();
-    for (const ShardProbeSnapshot& s : shards) {
-      Json shard = Json::Obj();
-      shard.Set("shard", Json::Num(static_cast<double>(s.shard)));
-      shard.Set("rows", Json::Num(static_cast<double>(s.end_row -
-                                                      s.begin_row)));
-      shard.Set("probes", Json::Num(static_cast<double>(s.queries_issued)));
-      shard.Set("tuples", Json::Num(static_cast<double>(s.tuples_returned)));
-      shard.Set("cache_hits", Json::Num(static_cast<double>(s.cache.hits)));
-      shard.Set("cache_lookups",
-                Json::Num(static_cast<double>(s.cache.lookups)));
-      arr.Push(std::move(shard));
-    }
-    out.Set("shards", std::move(arr));
+  Json shards = Json::Arr();
+  for (const ShardProbeSnapshot& s : ShardStats()) {
+    Json shard = Json::Obj();
+    shard.Set("shard", Json::Num(static_cast<double>(s.shard)));
+    shard.Set("rows", Json::Num(static_cast<double>(s.end_row - s.begin_row)));
+    shard.Set("probes", Json::Num(static_cast<double>(s.queries_issued)));
+    shard.Set("tuples", Json::Num(static_cast<double>(s.tuples_returned)));
+    shard.Set("cache_hits", Json::Num(static_cast<double>(s.cache.hits)));
+    shard.Set("cache_lookups", Json::Num(static_cast<double>(s.cache.lookups)));
+    shards.Push(std::move(shard));
   }
+  out.Set("shards", std::move(shards));
   if (trace_ != nullptr) {
     Json trace = Json::Obj();
     trace.Set("dropped", Json::Num(static_cast<double>(trace_->dropped())));
@@ -285,25 +279,6 @@ Json AimqService::StatsJson() const {
     out.Set("trace", std::move(trace));
   }
   return out;
-}
-
-std::vector<std::pair<size_t, storage::BlockStoreStats>>
-AimqService::BlockStats() const {
-  const auto version = live_->Acquire();
-  std::vector<std::pair<size_t, storage::BlockStoreStats>> stats =
-      version->facade != nullptr
-          ? version->facade->ShardBlockStats()
-          : std::vector<std::pair<size_t, storage::BlockStoreStats>>{};
-  if (stats.empty()) {
-    // Unsharded: the engine probes the current version's source directly,
-    // so a packed source's own store is the one doing the decoding.
-    const storage::CodeBlockStore* store =
-        version->source->columnar() != nullptr
-            ? version->source->columnar()->block_store()
-            : nullptr;
-    if (store != nullptr) stats.emplace_back(0, store->GetStats());
-  }
-  return stats;
 }
 
 Result<uint64_t> AimqService::Ingest(std::vector<Tuple> rows) {

@@ -19,9 +19,10 @@
 //    tenant with an optional per-tenant quota (one noisy tenant cannot fill
 //    the global queue) and stride-scheduled weighted-fair dequeue. With one
 //    tenant and no quota this degenerates to the original FIFO exactly.
-//  - Sharding: ServiceOptions::num_shards > 1 serves from a ShardedEngine —
-//    row-range shards behind a scatter/gather facade — with answers
-//    bit-identical to the unsharded engine (DESIGN.md §5h).
+//  - Sharding: every serving version probes through a scatter/gather
+//    facade over ServiceOptions::num_shards row-range shards; one shard is
+//    the source itself. Answers are bit-identical at any shard count
+//    (DESIGN.md §5h).
 //  - Deadlines: each request carries a QueryControl whose deadline starts at
 //    *submit* time, so queue wait counts against it. Workers pass the
 //    control into AimqEngine::Answer, which checks it between relaxation
@@ -97,8 +98,9 @@ struct ServiceOptions {
 
   // -- Scale-out (see DESIGN.md §5h) ---------------------------------------
 
-  /// Row-range engine shards behind the scatter/gather facade; <= 1 serves
-  /// from the unsharded source. Answers are bit-identical either way.
+  /// Row-range engine shards behind the scatter/gather facade; <= 1 is the
+  /// one-shard plan, whose shard is the source itself. Answers are
+  /// bit-identical at any count.
   size_t num_shards = 1;
 
   /// Store shard snapshots packed (block-compressed) instead of plain.
@@ -264,30 +266,27 @@ class AimqService {
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
 
   /// Effective shard count (1 when unsharded, or when a packed shard build
-  /// failed and the service degraded — see shard_build_status()).
-  size_t num_shards() const {
-    const auto version = live_->Acquire();
-    return version->facade != nullptr ? version->facade->num_shards() : 1;
-  }
+  /// failed and the service fell back to one shard — see
+  /// shard_build_status()).
+  size_t num_shards() const { return live_->Acquire()->facade->num_shards(); }
 
-  /// Per-shard probe + cache accounting of the current serving version;
-  /// empty when unsharded.
+  /// Per-shard probe + cache accounting of the current serving version.
   std::vector<ShardProbeSnapshot> ShardStats() const {
-    const auto version = live_->Acquire();
-    return version->facade != nullptr ? version->facade->ShardStats()
-                                      : std::vector<ShardProbeSnapshot>{};
+    return live_->Acquire()->facade->ShardStats();
   }
 
-  /// (shard index, block-store stats) of every packed store the service
-  /// reads: per-shard stores when sharding is packed, the source's own
-  /// store (index 0) when serving a packed source unsharded, empty for
-  /// plain storage. Feeds the block-cache metric families and the explain
-  /// op's blocks-decoded delta.
-  std::vector<std::pair<size_t, storage::BlockStoreStats>> BlockStats() const;
+  /// (shard index, block-store stats) of every packed store the current
+  /// serving version reads: the per-shard stores when sharding is packed,
+  /// a packed source's own store (index 0) when serving it as one shard,
+  /// empty for plain storage. Feeds the block-cache metric families and the
+  /// explain op's blocks-decoded delta.
+  std::vector<std::pair<size_t, storage::BlockStoreStats>> BlockStats() const {
+    return live_->Acquire()->facade->ShardBlockStats();
+  }
 
-  /// OK, or why the current serving version degraded to unsharded
-  /// operation. By value: the owning version can be superseded while the
-  /// caller inspects the status.
+  /// OK, or why the current serving version's shard plan failed to build
+  /// and it fell back to one shard. By value: the owning version can be
+  /// superseded while the caller inspects the status.
   Status shard_build_status() const {
     return live_->Acquire()->shard_build_status;
   }

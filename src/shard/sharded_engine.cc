@@ -10,41 +10,53 @@
 namespace aimq {
 
 Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
-    const WebDatabase& source, const ShardedEngineOptions& options) {
-  // The facade shares the *global* snapshot: probe keys, scoring, and
-  // materialization are byte-for-byte those of the unsharded source.
+    std::shared_ptr<const WebDatabase> source,
+    const ShardedEngineOptions& options) {
+  // The facade shares the source's snapshot: probe keys, scoring, and
+  // materialization are byte-for-byte those of the source.
   std::unique_ptr<ShardedWebDatabase> facade(
-      new ShardedWebDatabase(source.name(), source.columnar()));
+      new ShardedWebDatabase(source->name(), source->columnar()));
   facade->scatter_threads_ = options.scatter_threads;
 
   const std::vector<ShardRange> plan =
-      PlanRowRanges(source.NumTuples(), options.num_shards);
+      PlanRowRanges(source->NumTuples(), options.num_shards);
   facade->shards_.reserve(plan.size());
+  if (plan.size() == 1) {
+    // One-shard plan: the source answers as it is, and the engine-level
+    // shared cache already sits in front of it.
+    Shard shard;
+    shard.range = plan[0];
+    shard.db = std::move(source);
+    facade->shards_.push_back(std::move(shard));
+    return facade;
+  }
   for (const ShardRange& range : plan) {
     Shard shard;
     shard.range = range;
+    // Shard dbs reuse the source's name so any error a shard surfaces reads
+    // exactly like the source's.
     if (options.packed_shards) {
       ColumnarBuilder::Options build_opts;
       build_opts.store = options.store;
       AIMQ_ASSIGN_OR_RETURN(std::unique_ptr<ColumnarBuilder> builder,
-                            ColumnarBuilder::Create(source.schema(),
+                            ColumnarBuilder::Create(source->schema(),
                                                     std::move(build_opts)));
       for (uint32_t row = range.begin; row < range.end; ++row) {
-        AIMQ_RETURN_NOT_OK(builder->AppendRow(source.MaterializeRow(row)));
+        AIMQ_RETURN_NOT_OK(builder->AppendRow(source->MaterializeRow(row)));
       }
       AIMQ_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> snapshot,
                             builder->Finish());
-      // Shard dbs reuse the source's name so any error a shard surfaces
-      // reads exactly like the unsharded source's.
-      shard.db = std::make_unique<WebDatabase>(source.name(),
-                                               std::move(snapshot));
-      if (options.build_postings) shard.db->BuildPostingLists();
+      auto db = std::make_shared<WebDatabase>(source->name(),
+                                              std::move(snapshot));
+      db->BuildPostingLists();
+      shard.db = std::move(db);
     } else {
-      Relation rows(source.schema());
+      Relation rows(source->schema());
       for (uint32_t row = range.begin; row < range.end; ++row) {
-        rows.AppendUnchecked(source.MaterializeRow(row));
+        rows.AppendUnchecked(source->MaterializeRow(row));
       }
-      shard.db = std::make_unique<WebDatabase>(source.name(), std::move(rows));
+      shard.db = std::make_shared<WebDatabase>(source->name(),
+                                               std::move(rows));
     }
     if (options.shard_cache_capacity > 0) {
       shard.cache = std::make_unique<ProbeCache>(options.shard_cache_capacity);
@@ -55,60 +67,76 @@ Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
 }
 
 Result<std::vector<uint32_t>> ShardedWebDatabase::ProbeShard(
-    const Shard& shard, const SelectionQuery& query,
+    size_t s, const SelectionQuery& query, size_t from_row,
     uint64_t request_id) const {
-  TraceSpan span(trace_, "shard_probe", "shard", request_id);
-  span.AddArg("shard", static_cast<double>(&shard - shards_.data()));
+  const Shard& shard = shards_[s];
+  // A one-shard plan's only leg is the engine's probe span already.
+  TraceSpan span(shards_.size() > 1 ? trace_ : nullptr, "shard_probe",
+                 "shard", request_id);
+  span.AddArg("shard", static_cast<double>(s));
   Stopwatch leg_timer;
   bool hit = false;
-  Result<SharedRows> local =
-      shard.cache != nullptr ? shard.cache->ExecuteRows(*shard.db, query, &hit)
-                             : ShareRows(shard.db->ExecuteRows(query));
+  Result<std::vector<uint32_t>> local = [&]() -> Result<std::vector<uint32_t>> {
+    // The shard holding from_row answers its local delta; a shard the
+    // requested rows cover whole answers a full probe.
+    if (from_row > shard.range.begin) {
+      return shard.db->ExecuteRowsFrom(query, from_row - shard.range.begin);
+    }
+    if (shard.cache == nullptr) return shard.db->ExecuteRows(query);
+    AIMQ_ASSIGN_OR_RETURN(SharedRows rows,
+                          shard.cache->ExecuteRows(*shard.db, query, &hit));
+    return *rows;
+  }();
   shard.latency->Record(leg_timer.ElapsedSeconds());
   if (!local.ok()) return local.status();
   // Local ids are ascending within [0, range.NumRows()); offsetting by the
   // range's begin lifts them into the global row space, still ascending.
-  const std::vector<uint32_t>& local_rows = **local;
-  std::vector<uint32_t> global;
-  global.reserve(local_rows.size());
-  for (uint32_t row : local_rows) global.push_back(row + shard.range.begin);
-  span.AddArg("rows", static_cast<double>(global.size()));
+  std::vector<uint32_t> rows = std::move(*local);
+  if (shard.range.begin != 0) {
+    for (uint32_t& row : rows) row += shard.range.begin;
+  }
+  span.AddArg("rows", static_cast<double>(rows.size()));
   span.AddArg("cache_hit", hit ? 1.0 : 0.0);
-  return global;
+  return rows;
 }
 
-Result<std::vector<uint32_t>> ShardedWebDatabase::ExecuteRows(
-    const SelectionQuery& query) const {
+Result<std::vector<uint32_t>> ShardedWebDatabase::ExecuteRowsFrom(
+    const SelectionQuery& query, size_t from_row) const {
   AIMQ_RETURN_NOT_OK(ValidateBooleanQuery(query));
   // Capture the ambient request id on the calling thread: the scatter legs
   // may run on pool threads where the thread-local id is not set.
   const uint64_t request_id = TraceRecorder::CurrentRequestId();
-
-  const size_t n = shards_.size();
-  std::vector<std::vector<uint32_t>> legs(n);
-  std::vector<Status> statuses(n, Status::OK());
-  const auto run_leg = [&](size_t s) {
-    Result<std::vector<uint32_t>> leg = ProbeShard(shards_[s], query,
-                                                   request_id);
-    if (leg.ok()) legs[s] = std::move(*leg);
-    else statuses[s] = leg.status();
-  };
-  if (scatter_threads_ > 1 && n > 1) {
-    ParallelFor(n, scatter_threads_, run_leg);
-  } else {
-    for (size_t s = 0; s < n; ++s) run_leg(s);
+  // Shards wholly before from_row have nothing to add.
+  size_t first = 0;
+  while (first < shards_.size() && shards_[first].range.end <= from_row) {
+    ++first;
   }
-  for (const Status& status : statuses) AIMQ_RETURN_NOT_OK(status);
 
   // Ranges are contiguous and disjoint, so concatenating the (ascending)
   // per-shard answers in shard order is already the globally ascending
-  // row-id list — identical to the unsharded scan, no sort needed.
-  size_t total = 0;
-  for (const std::vector<uint32_t>& leg : legs) total += leg.size();
+  // row-id list — identical to the source's scan, no sort needed.
   std::vector<uint32_t> out;
-  out.reserve(total);
-  for (const std::vector<uint32_t>& leg : legs) {
-    out.insert(out.end(), leg.begin(), leg.end());
+  const auto gather = [&out](std::vector<uint32_t> leg) {
+    if (out.empty()) out = std::move(leg);
+    else out.insert(out.end(), leg.begin(), leg.end());
+  };
+  const size_t n = shards_.size() - first;
+  if (scatter_threads_ > 1 && n > 1) {
+    std::vector<Result<std::vector<uint32_t>>> legs(n,
+                                                    std::vector<uint32_t>());
+    ParallelFor(n, scatter_threads_, [&](size_t i) {
+      legs[i] = ProbeShard(first + i, query, from_row, request_id);
+    });
+    for (Result<std::vector<uint32_t>>& leg : legs) {
+      AIMQ_RETURN_NOT_OK(leg.status());
+      gather(leg.TakeValue());
+    }
+  } else {
+    for (size_t s = first; s < shards_.size(); ++s) {
+      AIMQ_ASSIGN_OR_RETURN(std::vector<uint32_t> leg,
+                            ProbeShard(s, query, from_row, request_id));
+      gather(std::move(leg));
+    }
   }
   AccountProbe(out.size());
   return out;
@@ -194,31 +222,6 @@ ShardedWebDatabase::ShardBlockStats() const {
     out.emplace_back(s, store->GetStats());
   }
   return out;
-}
-
-ShardedEngine::ShardedEngine(const WebDatabase* source,
-                             MinedKnowledge knowledge, AimqOptions options,
-                             ShardedEngineOptions shard_options) {
-  const WebDatabase* engine_source = source;
-  if (shard_options.num_shards > 1) {
-    Result<std::unique_ptr<ShardedWebDatabase>> facade =
-        ShardedWebDatabase::Create(*source, shard_options);
-    if (facade.ok()) {
-      facade_ = std::move(*facade);
-      engine_source = facade_.get();
-    } else {
-      // Shard construction can only fail for packed shards (block-store /
-      // spill setup). Serve unsharded rather than refuse to start; the
-      // operator reads why from build_status().
-      build_status_ = facade.status();
-    }
-  }
-  engine_ = std::make_unique<AimqEngine>(engine_source, std::move(knowledge),
-                                         std::move(options));
-  if (facade_ != nullptr) engine_->SetShardRanker(facade_.get());
-  if (shard_options.coalesce_probes && engine_->probe_cache() != nullptr) {
-    engine_->probe_cache()->EnableCoalescing(true);
-  }
 }
 
 }  // namespace aimq

@@ -1,16 +1,19 @@
-// ShardedEngine: row-range engine shards behind one scatter/gather facade.
+// ShardedWebDatabase: the scatter/gather probe layer every serving version
+// probes through.
 //
-// The relation is split into N contiguous row ranges (shard_plan.h); each
-// shard gets its own columnar snapshot (plain or packed), its own per-code
-// posting lists, and its own ProbeCache, so N shards scan, index, and cache
-// independently — the scale-out unit ROADMAP's "sharded engines" item asks
-// for. In front of them sits ShardedWebDatabase, a WebDatabase facade whose
-// ExecuteRows scatters the probe to every shard and gathers the per-shard
-// answers by offsetting local row ids into the global row space and
-// concatenating in shard order. Because ranges are contiguous and disjoint
-// and every shard answers ascending local ids, the gathered list is the
-// globally ascending row-id vector the unsharded source returns:
-// bit-identical answers at any shard count.
+// The relation is split into N contiguous row ranges (shard_plan.h). With
+// N > 1 each shard gets its own columnar snapshot (plain or packed), its own
+// per-code posting lists, and its own ProbeCache, so N shards scan, index,
+// and cache independently — the scale-out unit. With N == 1 ("unsharded")
+// the one shard *is* the source: no row copy, and no shard cache, because
+// the engine-level shared cache already sits in front of it. The facade is a
+// WebDatabase whose ExecuteRowsFrom scatters the probe to every shard the
+// requested row range reaches and gathers the per-shard answers by
+// offsetting local row ids into the global row space and concatenating in
+// shard order. Because ranges are contiguous and disjoint and every shard
+// answers ascending local ids, the gathered list is the globally ascending
+// row-id vector the source returns: bit-identical answers at any shard
+// count.
 //
 // The AIMQ relaxation algorithm itself is *not* sharded: base-set
 // generalization and the progressive FindSimilar descent both branch on
@@ -20,7 +23,8 @@
 // deterministic. The facade also implements the engine's ShardRanker hook,
 // executing base-set top-k trimming as per-shard top-k scans merged by
 // (score desc, row asc) — provably equal to the engine's serial TopK over
-// an ascending row list.
+// an ascending row list. LiveEngine (live/live_engine.h) builds one facade
+// per serving version; see DESIGN.md §5h.
 
 #ifndef AIMQ_SHARD_SHARDED_ENGINE_H_
 #define AIMQ_SHARD_SHARDED_ENGINE_H_
@@ -43,24 +47,22 @@ namespace aimq {
 
 /// Tunables of the shard layer (the engine keeps its own AimqOptions).
 struct ShardedEngineOptions {
-  /// Row-range shards. <= 1 disables sharding entirely (the engine probes
-  /// the source directly; no facade is built).
+  /// Row-range shards. <= 1 is the one-shard plan: the source itself
+  /// answers every probe through the facade.
   size_t num_shards = 1;
 
-  /// Store each shard's snapshot packed (bit-packed blocks under
-  /// `store`'s budget) instead of plain resident columns.
+  /// Store each shard's snapshot packed (bit-packed blocks under `store`'s
+  /// budget) instead of plain resident columns. Packed shard copies always
+  /// build per-code posting lists, so their probes stay index-assisted.
+  /// Ignored by the one-shard plan, which serves the source as it is.
   bool packed_shards = false;
 
   /// Block-store configuration for packed shard snapshots.
   storage::BlockStoreOptions store;
 
-  /// Whether each shard materializes per-code posting lists. Postings make
-  /// probes index-assisted even for packed shards (viable at shard
-  /// granularity where a monolithic packed source cannot afford them).
-  bool build_postings = true;
-
   /// Per-shard ProbeCache capacity in entries (0 disables shard caches;
-  /// probes then always scan the shard).
+  /// probes then always scan the shard). The one-shard plan has no shard
+  /// cache.
   size_t shard_cache_capacity = 4096;
 
   /// Threads for the scatter fan-out and sharded top-k (0 or 1 = the legs
@@ -88,32 +90,38 @@ struct ShardProbeSnapshot {
 
 /// \brief Scatter/gather WebDatabase facade over row-range shards.
 ///
-/// Constructed over the *global* columnar snapshot, so schema(),
-/// MaterializeRow(), and columnar() behave exactly like the unsharded source
-/// (probe keys, which ProbeKey::ForQuery derives from columnar(), and engine
-/// scoring are unchanged); only ExecuteRows routes differently. Thread-safe
-/// like its base class.
+/// Constructed over the source's columnar snapshot, so schema(),
+/// MaterializeRow(), and columnar() behave exactly like the source (probe
+/// keys, which ProbeKey::ForQuery derives from columnar(), and engine
+/// scoring are unchanged); only ExecuteRowsFrom routes differently.
+/// Thread-safe like its base class.
 class ShardedWebDatabase : public WebDatabase, public ShardRanker {
  public:
   struct Shard {
     ShardRange range;
-    std::unique_ptr<WebDatabase> db;       // over the shard snapshot
-    std::unique_ptr<ProbeCache> cache;     // per-shard probe cache
+    // The shard's own snapshot; the source itself in a one-shard plan.
+    std::shared_ptr<const WebDatabase> db;
+    std::unique_ptr<ProbeCache> cache;  // per-shard probe cache; may be null
     // Scatter-leg latency (lock-free records from any probing thread).
     std::unique_ptr<LatencyHistogram> latency =
         std::make_unique<LatencyHistogram>();
   };
 
-  /// Builds the facade and its per-shard snapshots from \p source (plain or
-  /// packed). The shards copy the source's rows; \p source itself is only
-  /// read during construction but must outlive the facade (the shared global
-  /// snapshot is what outlives).
+  /// Builds the facade over \p source (plain or packed). A one-range plan
+  /// serves from \p source itself and cannot fail; with more ranges each
+  /// shard copies its rows out of \p source, which fails only for packed
+  /// shards (block-store / spill setup).
   static Result<std::unique_ptr<ShardedWebDatabase>> Create(
-      const WebDatabase& source, const ShardedEngineOptions& options);
+      std::shared_ptr<const WebDatabase> source,
+      const ShardedEngineOptions& options);
 
-  /// Scatters \p query to every shard, gathers ascending global row ids.
-  Result<std::vector<uint32_t>> ExecuteRows(
-      const SelectionQuery& query) const override;
+  /// Scatters \p query to every shard whose range ends after \p from_row
+  /// and gathers ascending global row ids. A shard the requested rows cover
+  /// whole answers a full probe (through its cache, else its ExecuteRows); the
+  /// shard holding \p from_row answers the local delta (its
+  /// ExecuteRowsFrom), so extensions keep posting-list-driven scans.
+  Result<std::vector<uint32_t>> ExecuteRowsFrom(
+      const SelectionQuery& query, size_t from_row) const override;
 
   /// ShardRanker: per-shard top-k over the global scoring function, merged
   /// by (score desc, row asc).
@@ -127,14 +135,16 @@ class ShardedWebDatabase : public WebDatabase, public ShardRanker {
   /// Per-shard probe + cache accounting (shard-labelled /metrics families).
   std::vector<ShardProbeSnapshot> ShardStats() const;
 
-  /// (shard index, block-store stats) of every packed shard snapshot;
-  /// empty when the shards are plain. Feeds the block-cache metric
-  /// families and the explain op's blocks-decoded delta.
+  /// (shard index, block-store stats) of every packed shard snapshot — a
+  /// packed source's own store at index 0 in a one-shard plan; empty when
+  /// the shards are plain. Feeds the block-cache metric families and the
+  /// explain op's blocks-decoded delta.
   std::vector<std::pair<size_t, storage::BlockStoreStats>> ShardBlockStats()
       const;
 
   /// Span recorder for per-shard scatter-leg spans ("shard_probe",
-  /// correlated via TraceRecorder::CurrentRequestId). nullptr detaches.
+  /// correlated via TraceRecorder::CurrentRequestId); a one-shard plan
+  /// records none. nullptr detaches.
   void SetTraceRecorder(TraceRecorder* recorder) { trace_ = recorder; }
 
  private:
@@ -142,85 +152,16 @@ class ShardedWebDatabase : public WebDatabase, public ShardRanker {
                      std::shared_ptr<const ColumnarRelation> cols)
       : WebDatabase(std::move(name), std::move(cols)) {}
 
-  // One scatter leg: shard-local probe through the shard's cache, offset to
-  // global row ids.
-  Result<std::vector<uint32_t>> ProbeShard(const Shard& shard,
+  // One scatter leg: shard \p s's rows at or after global row \p from_row,
+  // as global row ids.
+  Result<std::vector<uint32_t>> ProbeShard(size_t s,
                                            const SelectionQuery& query,
+                                           size_t from_row,
                                            uint64_t request_id) const;
 
   std::vector<Shard> shards_;
   size_t scatter_threads_ = 0;
   TraceRecorder* trace_ = nullptr;
-};
-
-/// \brief One AimqEngine over an optionally sharded probe layer.
-///
-/// With num_shards <= 1 this is a thin wrapper around a plain AimqEngine
-/// (zero behavior change). With more shards it builds the facade, points the
-/// engine at it, installs the shard top-k hook, and (optionally) turns on
-/// probe coalescing — answers stay bit-identical to the unsharded engine in
-/// every configuration; see DESIGN.md §5h.
-class ShardedEngine {
- public:
-  /// \p source must outlive the engine. Shard construction cannot fail for
-  /// plain shards; if a *packed* shard build fails (e.g. spill file setup),
-  /// the engine degrades to unsharded operation and records the failure in
-  /// build_status() rather than aborting service startup.
-  ShardedEngine(const WebDatabase* source, MinedKnowledge knowledge,
-                AimqOptions options,
-                ShardedEngineOptions shard_options = ShardedEngineOptions{});
-
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  /// The wrapped engine (fixed address; safe to hand out).
-  AimqEngine& core() { return *engine_; }
-  const AimqEngine& core() const { return *engine_; }
-
-  /// Convenience pass-through of the primary entry point.
-  Result<std::vector<RankedAnswer>> Answer(
-      const ImpreciseQuery& query,
-      RelaxationStrategy strategy = RelaxationStrategy::kGuided,
-      RelaxationStats* stats = nullptr, const QueryControl* control = nullptr,
-      bool* truncated = nullptr) {
-    return engine_->Answer(query, strategy, stats, control, truncated);
-  }
-
-  /// Effective shard count (1 when unsharded or degraded).
-  size_t num_shards() const {
-    return facade_ != nullptr ? facade_->num_shards() : 1;
-  }
-
-  /// The scatter/gather facade; nullptr when unsharded.
-  const ShardedWebDatabase* facade() const { return facade_.get(); }
-
-  /// Per-shard probe accounting; empty when unsharded.
-  std::vector<ShardProbeSnapshot> ShardStats() const {
-    return facade_ != nullptr ? facade_->ShardStats()
-                              : std::vector<ShardProbeSnapshot>{};
-  }
-
-  /// Per-shard block-store stats; empty when unsharded or plain.
-  std::vector<std::pair<size_t, storage::BlockStoreStats>> ShardBlockStats()
-      const {
-    return facade_ != nullptr
-               ? facade_->ShardBlockStats()
-               : std::vector<std::pair<size_t, storage::BlockStoreStats>>{};
-  }
-
-  /// OK, or why the engine degraded to unsharded operation.
-  const Status& build_status() const { return build_status_; }
-
-  /// Wires \p recorder into the engine and the facade's scatter legs.
-  void SetTraceRecorder(TraceRecorder* recorder) {
-    engine_->SetTraceRecorder(recorder);
-    if (facade_ != nullptr) facade_->SetTraceRecorder(recorder);
-  }
-
- private:
-  std::unique_ptr<ShardedWebDatabase> facade_;  // null when unsharded
-  std::unique_ptr<AimqEngine> engine_;
-  Status build_status_ = Status::OK();
 };
 
 }  // namespace aimq

@@ -55,11 +55,11 @@ struct ProbeStats {
 
 /// \brief Boolean-query-only facade over a hidden relation.
 ///
-/// ExecuteRows/Execute/FormValues are virtual so tests and adapters can
-/// substitute other transports (an HTTP form scraper, a flaky source for
-/// failure-injection tests) behind the same probing interface. Overriding
-/// ExecuteRows covers both entry points: the default Execute routes through
-/// it.
+/// ExecuteRows/ExecuteRowsFrom/Execute/FormValues are virtual so tests and
+/// adapters can substitute other transports (an HTTP form scraper, a flaky
+/// source for failure-injection tests) behind the same probing interface.
+/// Overriding ExecuteRows covers both full-probe entry points: the default
+/// Execute routes through it.
 class WebDatabase {
  public:
   /// Takes ownership of the hidden relation. \p name labels the source
@@ -125,11 +125,13 @@ class WebDatabase {
   /// probe-cache entry covering the first from_row rows of this source's
   /// lineage has not seen (ProbeCache extends entries with it). The
   /// candidate scan starts at the driving posting list's
-  /// lower_bound(from_row); block scans skip the blocks before from_row. Evaluates this source's own snapshot
-  /// even when a subclass reroutes ExecuteRows (a shard facade's snapshot is
-  /// the global one, so the answer is the same). Accounted like a probe.
-  Result<std::vector<uint32_t>> ExecuteRowsFrom(const SelectionQuery& query,
-                                                size_t from_row) const;
+  /// lower_bound(from_row); block scans skip the blocks before from_row.
+  /// Accounted like a probe. The base ExecuteRows forwards here with
+  /// from_row 0, so overriding this reroutes full probes and deltas alike
+  /// (the shard facade does); an ExecuteRows override sees only the full
+  /// probes, and deltas still scan this source's own snapshot.
+  virtual Result<std::vector<uint32_t>> ExecuteRowsFrom(
+      const SelectionQuery& query, size_t from_row) const;
 
   /// Executes a precise conjunctive query and returns the matching tuples —
   /// ExecuteRows materialized through the dictionaries.
@@ -172,11 +174,11 @@ class WebDatabase {
   const Relation& hidden_relation_for_testing() const { return data_; }
 
  protected:
-  /// Accounts one answered probe in stats(). ExecuteRows overrides that do
-  /// not route through the base implementation (scatter/gather facades,
-  /// fault-injection adapters) call this so probe accounting — what the
-  /// paper's efficiency figures and the serving metrics read — stays
-  /// consistent with the base class.
+  /// Accounts one answered probe in stats(). ExecuteRows/ExecuteRowsFrom
+  /// overrides that do not route through the base implementation
+  /// (scatter/gather facades, fault-injection adapters) call this so probe
+  /// accounting — what the paper's efficiency figures and the serving
+  /// metrics read — stays consistent with the base class.
   void AccountProbe(size_t tuples_returned) const {
     ++stats_.queries_issued;
     stats_.tuples_returned += tuples_returned;

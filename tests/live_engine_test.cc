@@ -280,17 +280,84 @@ TEST_F(LiveEngineTest, ShardedVersionsReplanRangesOnPublish) {
   const auto v0 = live->Acquire();
   ASSERT_TRUE(v0->shard_build_status.ok())
       << v0->shard_build_status.ToString();
-  ASSERT_NE(v0->facade, nullptr);
   EXPECT_EQ(v0->facade->num_shards(), 4u);
 
   ASSERT_TRUE(live->Ingest(DeltaRows(0, 40)).ok());
   ASSERT_TRUE(live->PublishSnapshot().ok());
   const auto v1 = live->Acquire();
-  ASSERT_NE(v1->facade, nullptr);
   EXPECT_NE(v1->facade, v0->facade);  // generation-at-a-time swap
   EXPECT_EQ(v1->facade->NumTuples(), db_->NumTuples() + 40);
   // Old facade keeps serving the old version's rows.
   EXPECT_EQ(v0->facade->NumTuples(), db_->NumTuples());
+}
+
+// Unsharded serving is the one-shard plan: the shard is the version's
+// source itself (no row copy) with no shard cache in front of it — the
+// shared engine-level cache already is — before and after a publish.
+TEST_F(LiveEngineTest, UnshardedVersionsServeAOneShardPlanOverTheSource) {
+  auto live = MakeLive(/*cache_capacity=*/4096);
+  ASSERT_NE(live, nullptr);
+  const auto v0 = live->Acquire();
+  ASSERT_TRUE(v0->shard_build_status.ok());
+  ASSERT_EQ(v0->facade->num_shards(), 1u);
+  EXPECT_EQ(v0->facade->shard(0).db.get(), db_);
+  EXPECT_EQ(v0->facade->shard(0).cache, nullptr);
+
+  ASSERT_TRUE(live->Ingest(DeltaRows(0, 40)).ok());
+  ASSERT_TRUE(live->PublishSnapshot().ok());
+  const auto v1 = live->Acquire();
+  ASSERT_TRUE(v1->shard_build_status.ok());
+  ASSERT_EQ(v1->facade->num_shards(), 1u);
+  EXPECT_EQ(v1->facade->shard(0).db, v1->source);
+  EXPECT_EQ(v1->facade->shard(0).cache, nullptr);
+  EXPECT_EQ(v1->facade->shard(0).range.end, db_->NumTuples() + 40);
+}
+
+// A packed shard build that fails (its spill file cannot be created) falls
+// back to the one-shard plan and says why, at startup and on every publish;
+// answers stay those of a serial cache-free engine.
+TEST_F(LiveEngineTest, FailedPackedShardBuildFallsBackToOneShard) {
+  LiveOptions lopts;
+  lopts.engine = *options_;
+  lopts.shards.num_shards = 3;
+  lopts.shards.packed_shards = true;
+  lopts.shards.store.spill_path =
+      testing::TempDir() + "aimq_no_such_dir/shard.spill";
+  auto created = LiveEngine::Create(db_, *knowledge_, lopts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const std::unique_ptr<LiveEngine> live = created.TakeValue();
+
+  AimqOptions serial = *options_;
+  serial.num_threads = 1;
+  serial.probe_cache_capacity = 0;
+  const auto expect_reference_answers = [&](const ServingVersion& version,
+                                            const WebDatabase& source) {
+    AimqEngine reference(&source, version.knowledge->knowledge, serial);
+    for (const char* model : {"Camry", "Civic"}) {
+      auto served = version.engine->Answer(ModelQuery(model));
+      auto direct = reference.Answer(ModelQuery(model));
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ASSERT_TRUE(direct.ok());
+      ASSERT_EQ(served->size(), direct->size()) << model;
+      for (size_t i = 0; i < direct->size(); ++i) {
+        EXPECT_EQ((*served)[i].tuple, (*direct)[i].tuple) << model;
+        EXPECT_EQ((*served)[i].similarity, (*direct)[i].similarity) << model;
+      }
+    }
+  };
+
+  const auto v0 = live->Acquire();
+  EXPECT_FALSE(v0->shard_build_status.ok());
+  EXPECT_EQ(v0->facade->num_shards(), 1u);
+  expect_reference_answers(*v0, *db_);
+
+  ASSERT_TRUE(live->Ingest(DeltaRows(0, 40)).ok());
+  ASSERT_TRUE(live->PublishSnapshot().ok());
+  const auto v1 = live->Acquire();
+  EXPECT_FALSE(v1->shard_build_status.ok());
+  EXPECT_EQ(v1->facade->num_shards(), 1u);
+  EXPECT_EQ(v1->num_rows, db_->NumTuples() + 40);
+  expect_reference_answers(*v1, *v1->source);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // Sharding determinism contract (DESIGN.md §5h): the scatter/gather facade
-// and the ShardedEngine built on it must answer bit-identically to the
-// unsharded source/engine at every shard count, thread count, snapshot mode
-// (plain or packed shards), and ISA tier. Also pins the row-range plan and
-// the per-shard posting lists for packed snapshots.
+// and the serving engine LiveEngine builds on it must answer bit-identically
+// to the source/serial engine at every shard count (the one-shard plan
+// included), thread count, snapshot mode (plain or packed shards), and ISA
+// tier. Also pins the row-range plan, the facade's delta probes, and the
+// per-shard posting lists for packed snapshots.
 
 #include "shard/sharded_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,6 +18,7 @@
 
 #include "core/knowledge.h"
 #include "datagen/cardb.h"
+#include "live/live_engine.h"
 #include "query/predicate.h"
 #include "shard/shard_plan.h"
 #include "simd/dispatch.h"
@@ -127,9 +130,14 @@ class ShardedEngineTest : public ::testing::Test {
     ShardedEngineOptions sharding;
     sharding.num_shards = shards;
     sharding.packed_shards = packed;
-    auto facade = ShardedWebDatabase::Create(*db_, sharding);
+    auto facade = ShardedWebDatabase::Create(Unowned(db_), sharding);
     EXPECT_TRUE(facade.ok()) << facade.status().ToString();
     return facade.TakeValue();
+  }
+
+  // The fixture owns db_; facades share it through a no-op deleter.
+  static std::shared_ptr<const WebDatabase> Unowned(const WebDatabase* db) {
+    return std::shared_ptr<const WebDatabase>(db, [](const WebDatabase*) {});
   }
 
   static WebDatabase* db_;
@@ -261,10 +269,11 @@ TEST_F(ShardedEngineTest, RankTopKMergesLikeSerialTopKWithRowIdTieBreak) {
 }
 
 // The property: for every (shards, threads, snapshot mode) configuration,
-// answers, similarity scores, and probe-accounting totals are bit-identical
-// to a serial single-shard engine. Probe coalescing (on by default) makes
-// even the stats deterministic under the parallel fan-out: each distinct
-// probe key is scanned exactly once per cache residency.
+// answers, similarity scores, and probe-accounting totals of the engine
+// LiveEngine serves from are bit-identical to a serial engine probing the
+// source directly. Probe coalescing (on by default) makes even the stats
+// deterministic under the parallel fan-out: each distinct probe key is
+// scanned exactly once per cache residency.
 void ExpectShardedMatchesSerial(const WebDatabase& db,
                                 const MinedKnowledge& knowledge,
                                 const AimqOptions& base_options,
@@ -274,15 +283,17 @@ void ExpectShardedMatchesSerial(const WebDatabase& db,
   serial.num_threads = 1;
   AimqEngine reference(&db, knowledge, serial);
 
-  AimqOptions eopts = base_options;
-  eopts.num_threads = num_threads;
-  ShardedEngineOptions sharding;
-  sharding.num_shards = num_shards;
-  sharding.packed_shards = packed;
-  ShardedEngine sharded(&db, knowledge, eopts, sharding);
-  ASSERT_TRUE(sharded.build_status().ok())
-      << sharded.build_status().ToString();
-  ASSERT_EQ(sharded.num_shards(), num_shards);
+  LiveOptions lopts;
+  lopts.engine = base_options;
+  lopts.engine.num_threads = num_threads;
+  lopts.shards.num_shards = num_shards;
+  lopts.shards.packed_shards = packed;
+  auto live = LiveEngine::Create(&db, knowledge, lopts);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  const std::shared_ptr<const ServingVersion> version = (*live)->Acquire();
+  ASSERT_TRUE(version->shard_build_status.ok())
+      << version->shard_build_status.ToString();
+  ASSERT_EQ(version->facade->num_shards(), num_shards);
 
   for (const ImpreciseQuery& query : TestQueries()) {
     RelaxationStats want_stats;
@@ -290,7 +301,8 @@ void ExpectShardedMatchesSerial(const WebDatabase& db,
                                  &want_stats);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     RelaxationStats got_stats;
-    auto got = sharded.Answer(query, RelaxationStrategy::kGuided, &got_stats);
+    auto got = version->engine->Answer(query, RelaxationStrategy::kGuided,
+                                       &got_stats);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
 
     ASSERT_EQ(got->size(), want->size());
@@ -346,11 +358,79 @@ TEST_F(ShardedEngineTest, ScatterThreadsDoNotChangeAnswers) {
   ShardedEngineOptions sharding;
   sharding.num_shards = 4;
   sharding.scatter_threads = 3;
-  auto facade = ShardedWebDatabase::Create(*db_, sharding);
+  auto facade = ShardedWebDatabase::Create(Unowned(db_), sharding);
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
   auto actual = (*facade)->ExecuteRows(probe);
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(*actual, *expected);
+}
+
+// A delta probe through the facade equals the source's own delta at every
+// shard count: skipped leading shards, the shard holding from_row (a local
+// delta), and whole trailing shards (full probes) gather to the same rows.
+TEST_F(ShardedEngineTest, FacadeExecuteRowsFromMatchesSource) {
+  const std::vector<SelectionQuery> probes = {
+      MakeQuery({Predicate::Eq("Model", Value::Cat("Camry"))}),
+      MakeQuery({Predicate::Eq("Make", Value::Cat("Toyota"))}),
+      MakeQuery({Predicate::Eq("Make", Value::Cat("Honda")),
+                 Predicate::Eq("Model", Value::Cat("Civic"))}),
+  };
+  const size_t n = db_->NumTuples();
+  for (size_t shards : {1u, 3u, 7u}) {
+    auto facade = MakeFacade(shards, /*packed=*/false);
+    const size_t boundary = facade->shard(shards / 2).range.begin;
+    const size_t mid = facade->shard(0).range.end / 2;
+    for (size_t from_row : {size_t{0}, boundary, mid, n}) {
+      for (const SelectionQuery& probe : probes) {
+        auto expected = db_->ExecuteRowsFrom(probe, from_row);
+        ASSERT_TRUE(expected.ok());
+        auto actual = facade->ExecuteRowsFrom(probe, from_row);
+        ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+        EXPECT_EQ(*actual, *expected) << probe.ToString() << " from row "
+                                      << from_row << " over " << shards
+                                      << " shards";
+      }
+    }
+  }
+}
+
+// Counts the full probes that reach it, the way servebench's timed source
+// and fault injectors observe a substituted source.
+class CountingWebDatabase : public WebDatabase {
+ public:
+  using WebDatabase::WebDatabase;
+
+  Result<std::vector<uint32_t>> ExecuteRows(
+      const SelectionQuery& query) const override {
+    ++full_probes_;
+    return WebDatabase::ExecuteRows(query);
+  }
+
+  uint64_t full_probes() const { return full_probes_.load(); }
+
+ private:
+  mutable std::atomic<uint64_t> full_probes_{0};
+};
+
+// A substituted source keeps seeing every full probe through the one-shard
+// plan: the facade routes them to its virtual ExecuteRows.
+TEST_F(ShardedEngineTest, OneShardPlanSendsEveryFullProbeToTheSource) {
+  const CountingWebDatabase source("CarDB",
+                                   db_->hidden_relation_for_testing());
+  LiveOptions lopts;
+  lopts.engine = *options_;
+  lopts.engine.num_threads = 1;
+  lopts.engine.probe_cache_capacity = 0;  // every probe reaches the facade
+  auto live = LiveEngine::Create(&source, *knowledge_, lopts);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  const std::shared_ptr<const ServingVersion> version = (*live)->Acquire();
+  ASSERT_EQ(version->facade->num_shards(), 1u);
+  for (const ImpreciseQuery& query : TestQueries()) {
+    ASSERT_TRUE(version->engine->Answer(query).ok());
+  }
+  const uint64_t probes = version->facade->stats().queries_issued.load();
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(source.full_probes(), probes);
 }
 
 }  // namespace

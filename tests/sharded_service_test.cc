@@ -187,6 +187,34 @@ TEST_F(ShardedServiceTest, PrometheusTextExposesShardAndTenantFamilies) {
   EXPECT_NE(text.find("aimq_probe_cache_coalesced_total"), std::string::npos);
 }
 
+// An unsharded service over a packed source serves it as a one-shard plan,
+// so BlockStats() reports exactly the source's own store, at index 0.
+TEST_F(ShardedServiceTest, UnshardedPackedSourceReportsItsStoreAtIndexZero) {
+  ColumnarBuilder::Options copts;
+  copts.store.block_size = 128;
+  auto builder = ColumnarBuilder::Create(data_->schema(), std::move(copts));
+  ASSERT_TRUE(builder.ok()) << builder.status().ToString();
+  for (size_t row = 0; row < data_->NumTuples(); ++row) {
+    ASSERT_TRUE((*builder)->AppendRow(data_->tuple(row)).ok());
+  }
+  auto packed = (*builder)->Finish();
+  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+  const WebDatabase source("CarDB", *packed);
+  const storage::CodeBlockStore* store = source.columnar()->block_store();
+  ASSERT_NE(store, nullptr);
+
+  AimqService service(&source, *knowledge_, *options_, ServiceOptions{});
+  ASSERT_EQ(service.num_shards(), 1u);
+  const auto stats = service.BlockStats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].first, 0u);
+  const storage::BlockStoreStats want = store->GetStats();
+  EXPECT_EQ(stats[0].second.num_rows, want.num_rows);
+  EXPECT_EQ(stats[0].second.num_blocks, want.num_blocks);
+  EXPECT_EQ(stats[0].second.stored_bytes, want.stored_bytes);
+  EXPECT_EQ(stats[0].second.cache.misses, want.cache.misses);
+}
+
 TEST_F(TenantAdmissionTest, QuotaRejectsOnlyTheNoisyTenant) {
   ServiceOptions sopts;
   sopts.num_workers = 1;
