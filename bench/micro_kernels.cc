@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the library's hot kernels:
 // dictionary encoding, stripped-partition construction (row-store vs coded),
 // partition products, g3 error evaluation, bag-Jaccard (string vs coded),
-// probe scans (Value comparisons vs compiled code comparisons), supertuple
+// probe scans (Value comparisons vs compiled code comparisons), probe-cache
+// hits from 1/2/4 threads sharing one cache, supertuple
 // construction, value-similarity mining, TANE, and ROCK link computation.
 // These quantify where the offline phases of Table 2 spend their time and
 // prove the dictionary-encoded storage core's win over the row-store
@@ -43,6 +44,9 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "webdb/coded_query.h"
+#include "webdb/probe_cache.h"
+#include "webdb/probe_key.h"
+#include "webdb/web_database.h"
 
 namespace aimq {
 namespace {
@@ -294,6 +298,62 @@ BENCHMARK(BM_PartitionBuildCodedParallel)
     ->Threads(4)
     ->Threads(8)
     ->UseRealTime();
+
+// Probe-cache hits from threads sharing one cache, in hot_zipf's shape:
+// 173k resident keys in a 2^18-entry cache, each thread drawing keys
+// uniformly. Every lookup is a hit. With UseRealTime, ns/op is wall time over
+// all threads' hits, so items_per_second is the total hit throughput.
+
+struct ProbeCacheHitFixture {
+  static constexpr size_t kKeys = 173000;
+
+  ProbeCacheHitFixture() : db("PriceDB", OneRow()), cache(size_t{1} << 18) {
+    keys.reserve(kKeys);
+    for (size_t i = 0; i < kKeys; ++i) {
+      const SelectionQuery query = PriceBelow(i);
+      keys.push_back(ProbeKey::ForQuery(*db.columnar(), query));
+      (void)cache.ExecuteRows(db, query);
+    }
+  }
+
+  static Relation OneRow() {
+    Relation r(
+        Schema::Make({{"Price", AttrType::kNumeric}}).ValueOrDie());
+    r.AppendUnchecked(Tuple({Value::Num(0)}));
+    return r;
+  }
+  // A distinct key per i.
+  static SelectionQuery PriceBelow(size_t i) {
+    return SelectionQuery({Predicate(
+        "Price", CompareOp::kLt, Value::Num(static_cast<double>(i) + 0.5))});
+  }
+
+  WebDatabase db;
+  ProbeCache cache;
+  std::vector<ProbeKey> keys;
+};
+
+void BM_ProbeCacheHit(benchmark::State& state) {
+  static auto* fixture = new ProbeCacheHitFixture();
+  uint64_t rng = 0x9e3779b97f4a7c15ull * (state.thread_index() + 1);
+  size_t index = 0;
+  SelectionQuery query;  // built only on a miss, which never happens here
+  const auto make_query = [&]() -> const SelectionQuery& {
+    query = ProbeCacheHitFixture::PriceBelow(index);
+    return query;
+  };
+  for (auto _ : state) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    index = static_cast<size_t>(((rng >> 32) * ProbeCacheHitFixture::kKeys) >>
+                                32);
+    benchmark::DoNotOptimize(fixture->cache.ExecuteRows(
+        fixture->db, fixture->keys[index], make_query));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProbeCacheHit)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 // --- Offline phases ---------------------------------------------------------
 

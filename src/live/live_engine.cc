@@ -35,8 +35,7 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
       std::move(knowledge)});
   v0->knowledge_version = v0->knowledge->version;
   v0->engine = live->BuildEngine(v0->facade.get(), *v0->knowledge);
-  live->current_.store(std::shared_ptr<const ServingVersion>(std::move(v0)),
-                       std::memory_order_release);
+  live->Install(std::move(v0));
   return live;
 }
 
@@ -175,8 +174,7 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
   next->engine = BuildEngine(next->facade.get(), *next->knowledge);
 
   truth_ = std::move(truth);
-  current_.store(std::shared_ptr<const ServingVersion>(std::move(next)),
-                 std::memory_order_release);
+  Install(std::move(next));
   publishes_total_.fetch_add(1, std::memory_order_relaxed);
   publish_latency_.Record(timer.ElapsedSeconds());
   return new_version;
@@ -205,10 +203,18 @@ Result<uint64_t> LiveEngine::RefreshKnowledge() {
   next->shard_build_status = cur->shard_build_status;
   next->engine = BuildEngine(next->facade.get(), *next->knowledge);
 
-  current_.store(std::shared_ptr<const ServingVersion>(std::move(next)),
-                 std::memory_order_release);
+  Install(std::move(next));
   refreshes_total_.fetch_add(1, std::memory_order_relaxed);
   return new_kv;
+}
+
+void LiveEngine::Install(std::shared_ptr<const ServingVersion> next) {
+  {
+    std::lock_guard<std::mutex> lock(current_mu_);
+    current_.swap(next);
+  }
+  // `next` now holds the replaced version, destroyed here if this was its
+  // last reference.
 }
 
 void LiveEngine::SetTraceRecorder(TraceRecorder* recorder) {

@@ -3,9 +3,10 @@
 // Everything a query touches — the columnar snapshot, the serving
 // WebDatabase, the shard facade, the mined knowledge, and the AimqEngine
 // itself — is bundled into one immutable ServingVersion. Queries capture the
-// current version once at admission (a single atomic shared_ptr load) and
-// use it end-to-end; ingest and knowledge refresh build the *next* version
-// off to the side and publish it with a single atomic shared_ptr exchange.
+// current version once at admission (a shared_ptr copy under a mutex that
+// is held for nothing else) and use it end-to-end; ingest and knowledge
+// refresh build the *next* version off to the side and publish it with a
+// pointer swap under the same mutex.
 // In-flight queries keep their captured version alive through the shared_ptr
 // they hold, so a swap never invalidates anything mid-query, and every
 // answer is bit-identical to a from-scratch engine at the query's captured
@@ -117,8 +118,9 @@ struct LiveIngestStats {
 
 /// \brief Versioned live serving stack: ingest, publish, refresh, query.
 ///
-/// Thread-safety: Acquire() is wait-free and safe from any thread, including
-/// concurrently with publishes. Ingest() only buffers (brief mutex).
+/// Thread-safety: Acquire() is safe from any thread, including concurrently
+/// with publishes; it only copies a pointer under a mutex that is never held
+/// across work. Ingest() only buffers (brief mutex).
 /// PublishSnapshot() and RefreshKnowledge() serialize against each other on
 /// a publisher mutex but never block queries. Answer on a captured version's
 /// engine is as thread-safe as AimqEngine itself.
@@ -135,11 +137,12 @@ class LiveEngine {
   LiveEngine(const LiveEngine&) = delete;
   LiveEngine& operator=(const LiveEngine&) = delete;
 
-  /// The current published version (single atomic shared_ptr load). The
-  /// caller's shared_ptr keeps every part of the version alive across any
-  /// number of subsequent publishes.
+  /// The current published version (a shared_ptr copy under current_mu_).
+  /// The caller's shared_ptr keeps every part of the version alive across
+  /// any number of subsequent publishes.
   std::shared_ptr<const ServingVersion> Acquire() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Validates \p rows against the schema (arity + per-attribute type,
@@ -187,6 +190,10 @@ class LiveEngine {
   std::unique_ptr<AimqEngine> BuildEngine(const ShardedWebDatabase* facade,
                                           const KnowledgeVersion& kv) const;
 
+  // Makes \p next the current version. The replaced version is released
+  // after current_mu_ drops, so its teardown never blocks Acquire().
+  void Install(std::shared_ptr<const ServingVersion> next);
+
   std::string name_;
   Schema schema_;
   LiveOptions options_;
@@ -194,7 +201,9 @@ class LiveEngine {
   std::shared_ptr<ProbeCache> cache_;  // shared across versions; may be null
   TraceRecorder* trace_ = nullptr;
 
-  std::atomic<std::shared_ptr<const ServingVersion>> current_;
+  // The version slot. current_mu_ is held only to copy or swap the pointer.
+  mutable std::mutex current_mu_;
+  std::shared_ptr<const ServingVersion> current_;  // guarded by current_mu_
 
   // Publisher state: guarded by publish_mu_ (one publisher at a time).
   mutable std::mutex publish_mu_;

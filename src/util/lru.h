@@ -3,7 +3,8 @@
 // front of WebDatabase::Execute (src/webdb/probe_cache.h). Each key is
 // stored once, in its list node; the hash index points at it. Not thread-safe
 // by itself — callers that share an LruCache across threads wrap it in a
-// mutex (ProbeCache does).
+// mutex (ProbeCache holds one LruCache per stripe, each behind the stripe's
+// own mutex).
 
 #ifndef AIMQ_UTIL_LRU_H_
 #define AIMQ_UTIL_LRU_H_

@@ -5,13 +5,32 @@
 
 namespace aimq {
 
+size_t ProbeCache::StripeCount(size_t capacity) {
+  size_t stripes = 1;
+  while (stripes < kMaxStripes &&
+         capacity / (2 * stripes) >= kMinStripeEntries) {
+    stripes *= 2;
+  }
+  return stripes;
+}
+
+ProbeCache::ProbeCache(size_t capacity)
+    : capacity_(capacity), stripes_(StripeCount(capacity)) {
+  // Split evenly; the first `capacity % stripes` stripes take one more.
+  const size_t n = stripes_.size();
+  for (size_t i = 0; i < n; ++i) {
+    stripes_[i].cache.set_capacity(capacity / n + (i < capacity % n ? 1 : 0));
+  }
+}
+
 ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, size_t rows,
                                       bool* hit) {
   Claim claim;
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.lookups;
-  if (const Entry* cached = cache_.Get(key)) {
-    ++stats_.hits;
+  Stripe& stripe = stripes_[StripeIndex(key)];
+  std::unique_lock<std::mutex> lock(stripe.mu);
+  ++stripe.stats.lookups;
+  if (const Entry* cached = stripe.cache.Get(key)) {
+    ++stripe.stats.hits;
     if (hit != nullptr) *hit = true;
     if (cached->covered == rows) {
       claim.served = cached->rows;  // a refcount bump; entries are immutable
@@ -21,16 +40,16 @@ ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, size_t rows,
     claim.covered = cached->covered;
     if (cached->covered > rows) return claim;  // an older reader: trim
   }
-  if (coalesce_) {
+  if (coalesce_.load()) {
     FlightKey flight_key{key, rows};
-    auto it = flights_.find(flight_key);
-    if (it != flights_.end()) {
+    auto it = stripe.flights.find(flight_key);
+    if (it != stripe.flights.end()) {
       // Park on the running probe: one source scan serves every waiter.
       // The follower was spared a source probe, so it reports as a hit.
       std::shared_ptr<Flight> flight = it->second;
       ++flight->waiters;
-      if (claim.cached == nullptr) ++stats_.hits;
-      ++stats_.coalesced;
+      if (claim.cached == nullptr) ++stripe.stats.hits;
+      ++stripe.stats.coalesced;
       if (hit != nullptr) *hit = true;
       flight->cv.wait(lock, [&flight] { return flight->done; });
       --flight->waiters;
@@ -42,12 +61,12 @@ ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, size_t rows,
       return claim;
     }
     claim.flight = std::make_shared<Flight>();
-    flights_.emplace(std::move(flight_key), claim.flight);
+    stripe.flights.emplace(std::move(flight_key), claim.flight);
   }
   if (claim.cached != nullptr) {
-    ++stats_.extended;
+    ++stripe.stats.extended;
   } else {
-    ++stats_.misses;
+    ++stripe.stats.misses;
   }
   return claim;
 }
@@ -72,7 +91,8 @@ SharedRows ProbeCache::RowsBelow(const SharedRows& cached, size_t rows) {
 Result<SharedRows> ProbeCache::Fill(const ProbeKey& key, size_t rows,
                                     const std::shared_ptr<Flight>& flight,
                                     Result<SharedRows> answer) {
-  std::lock_guard<std::mutex> lock(mu_);
+  Stripe& stripe = stripes_[StripeIndex(key)];
+  std::lock_guard<std::mutex> lock(stripe.mu);
   if (flight != nullptr) {
     flight->done = true;
     if (answer.ok()) {
@@ -80,17 +100,17 @@ Result<SharedRows> ProbeCache::Fill(const ProbeKey& key, size_t rows,
     } else {
       flight->status = answer.status();  // errors are never cached
     }
-    flights_.erase(FlightKey{key, rows});
+    stripe.flights.erase(FlightKey{key, rows});
     flight->cv.notify_all();
   }
   if (answer.ok()) {
     // Keep whichever answer covers more rows: a reader on an older
     // snapshot must not shrink an entry a newer reader already extended.
-    const Entry* resident = cache_.Peek(key);
+    const Entry* resident = stripe.cache.Peek(key);
     if (resident == nullptr || resident->covered < rows) {
-      const uint64_t before = cache_.evictions();
-      cache_.Put(key, Entry{*answer, rows});
-      stats_.evictions += cache_.evictions() - before;
+      const uint64_t before = stripe.cache.evictions();
+      stripe.cache.Put(key, Entry{*answer, rows});
+      stripe.stats.evictions += stripe.cache.evictions() - before;
     }
   }
   return answer;
@@ -106,41 +126,57 @@ Result<std::vector<Tuple>> ProbeCache::Execute(const WebDatabase& db,
 bool ProbeCache::Contains(const WebDatabase& db,
                           const SelectionQuery& query) const {
   const ProbeKey key = ProbeKey::ForQuery(*db.columnar(), query);
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.Peek(key) != nullptr;
+  const Stripe& stripe = stripes_[StripeIndex(key)];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  return stripe.cache.Peek(key) != nullptr;
 }
 
 void ProbeCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.Clear();
-  stats_ = ProbeCacheStats{};
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    stripe.cache.Clear();
+    stripe.stats = ProbeCacheStats{};
+  }
 }
 
 void ProbeCache::EnableCoalescing(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  coalesce_ = enabled;
+  coalesce_.store(enabled);
 }
 
 bool ProbeCache::coalescing_enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return coalesce_;
+  return coalesce_.load();
 }
 
 size_t ProbeCache::InFlightWaiters() const {
-  std::lock_guard<std::mutex> lock(mu_);
   size_t waiters = 0;
-  for (const auto& [key, flight] : flights_) waiters += flight->waiters;
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    for (const auto& [key, flight] : stripe.flights) waiters += flight->waiters;
+  }
   return waiters;
 }
 
 size_t ProbeCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
+  size_t size = 0;
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    size += stripe.cache.size();
+  }
+  return size;
 }
 
 ProbeCacheStats ProbeCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ProbeCacheStats total;
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    total.lookups += stripe.stats.lookups;
+    total.hits += stripe.stats.hits;
+    total.misses += stripe.stats.misses;
+    total.evictions += stripe.stats.evictions;
+    total.coalesced += stripe.stats.coalesced;
+    total.extended += stripe.stats.extended;
+  }
+  return total;
 }
 
 }  // namespace aimq

@@ -28,11 +28,22 @@
 // keeps its old coverage.
 //
 // The cache is safe for concurrent Execute() calls — the engine's parallel
-// relaxation fan-out and concurrent query sessions share one instance. The
-// mutex guards only map bookkeeping (a hash-table probe on the key's
-// precomputed hash, a recency splice, a refcount bump), never the source
-// probe, key construction, or row allocation: two threads that miss the
-// same key simultaneously may both probe the source (the second insert
+// relaxation fan-out and concurrent query sessions share one instance. It is
+// split into independent stripes, chosen by the key's precomputed hash; each
+// stripe has its own mutex, its own exact-LRU map, its in-flight table and
+// its counters, so a hit, miss, extension or coalesced wait locks only the
+// key's stripe and hits on different stripes never contend. The stripe count
+// follows from the capacity alone: the largest power of two up to
+// kMaxStripes that leaves every stripe at least kMinStripeEntries entries.
+// Capacity is split evenly, and eviction is exact LRU within a stripe, so a
+// cache below 2 * kMinStripeEntries entries is one stripe: a single exact
+// LRU. Whole-cache reads (stats(), size(), InFlightWaiters()) and Clear()
+// visit the stripes one at a time.
+//
+// A stripe's mutex guards only map bookkeeping (a hash-table probe on the
+// key's precomputed hash, a recency splice, a refcount bump), never the
+// source probe, key construction, or row allocation: two threads that miss
+// the same key simultaneously may both probe the source (the second insert
 // overwrites with identical data), which trades a rare duplicate probe for
 // never serializing probe latency.
 //
@@ -42,16 +53,17 @@
 // on the leader's flight and are handed the leader's row list when it
 // lands — one physical probe serves N waiting sessions. Flights are keyed
 // by (key, source rows), and an extension is a flight like a miss, so a
-// follower only ever parks on a leader probing the same row count. Parked
-// followers report as cache hits (their probe was served without touching
-// the source), and are additionally counted in `coalesced`. With
-// coalescing on, each distinct (key, rows) is computed exactly once per
-// residency (never twice by a race), which also makes probe accounting
-// deterministic under concurrency.
+// follower only ever parks on a leader probing the same row count. A key's
+// flights live in the key's stripe. Parked followers report as cache hits
+// (their probe was served without touching the source), and are
+// additionally counted in `coalesced`. With coalescing on, each distinct
+// (key, rows) is computed exactly once per residency (never twice by a
+// race), which also makes probe accounting deterministic under concurrency.
 
 #ifndef AIMQ_WEBDB_PROBE_CACHE_H_
 #define AIMQ_WEBDB_PROBE_CACHE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -102,8 +114,7 @@ class ProbeCache {
  public:
   /// \p capacity is the number of distinct queries retained; 0 makes the
   /// cache a pass-through (every Execute probes the source).
-  explicit ProbeCache(size_t capacity)
-      : capacity_(capacity), cache_(capacity) {}
+  explicit ProbeCache(size_t capacity);
 
   ProbeCache(const ProbeCache&) = delete;
   ProbeCache& operator=(const ProbeCache&) = delete;
@@ -154,7 +165,15 @@ class ProbeCache {
 
   size_t capacity() const { return capacity_; }
   size_t size() const;
+  /// Sum of every stripe's counters; lookups == hits + misses holds.
   ProbeCacheStats stats() const;
+
+  /// The stripe rule (see the file comment): at most kMaxStripes stripes,
+  /// each of at least kMinStripeEntries entries.
+  static constexpr size_t kMaxStripes = 16;
+  static constexpr size_t kMinStripeEntries = 4096;
+  /// Number of stripes a cache of \p capacity entries is split into.
+  static size_t StripeCount(size_t capacity);
 
  private:
   // One probe being executed by its leader; followers park on cv until done.
@@ -198,6 +217,25 @@ class ProbeCache {
     size_t covered = 0;
   };
 
+  // One independent slice of the cache. Aligned so that neighboring
+  // stripes' mutexes and counters never share a cache line.
+  struct alignas(64) Stripe {
+    mutable std::mutex mu;
+    LruCache<ProbeKey, Entry, ProbeKeyHash> cache;  // guarded by mu
+    ProbeCacheStats stats;                          // guarded by mu
+    // In-flight probes of this stripe's keys; entries are shared so a
+    // flight outlives its map slot while followers still hold it. Guarded
+    // by mu; followers wait on the flight's cv with mu held (released
+    // while waiting).
+    std::unordered_map<FlightKey, std::shared_ptr<Flight>, FlightKeyHash>
+        flights;
+  };
+
+  // The key's stripe, from the high half of its precomputed hash.
+  size_t StripeIndex(const ProbeKey& key) const {
+    return (static_cast<uint64_t>(key.hash()) >> 32) & (stripes_.size() - 1);
+  }
+
   Claim Acquire(const ProbeKey& key, size_t rows, bool* hit);
   // \p cached followed by \p delta's rows; \p cached itself (no copy) when
   // the delta is empty.
@@ -213,16 +251,9 @@ class ProbeCache {
                           const std::shared_ptr<Flight>& flight,
                           Result<SharedRows> answer);
 
-  const size_t capacity_;  // immutable; readable without mu_
-  mutable std::mutex mu_;
-  LruCache<ProbeKey, Entry, ProbeKeyHash> cache_;  // guarded by mu_
-  ProbeCacheStats stats_;                          // guarded by mu_
-  bool coalesce_ = false;                          // guarded by mu_
-  // In-flight probes by key; entries are shared so a flight outlives its map
-  // slot while followers still hold it. Guarded by mu_; followers wait on
-  // the flight's cv with mu_ held (released while waiting).
-  std::unordered_map<FlightKey, std::shared_ptr<Flight>, FlightKeyHash>
-      flights_;
+  const size_t capacity_;  // immutable
+  std::atomic<bool> coalesce_{false};
+  std::vector<Stripe> stripes_;  // a power-of-two count, fixed at birth
 };
 
 /// Wraps a probe's rows as a shared list: one allocation, rows moved.

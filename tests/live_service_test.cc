@@ -1,14 +1,17 @@
 // Live ingest through the serving layer: AimqService::Ingest /
 // RefreshKnowledge, the {"op":"ingest"} and {"op":"refresh_knowledge"} wire
 // ops over a real socket, the aimq_snapshot_* / aimq_ingest_* metric
-// families on /metrics, the background row-trigger refresher, and queries
-// running concurrently with publishes without a single failure.
+// families on /metrics, the background row-trigger refresher, queries
+// running concurrently with publishes without a single failure, and a
+// striped probe cache whose entries are extended across a publish.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,11 +76,12 @@ class LiveServiceTest : public ::testing::Test {
     db_ = nullptr;
   }
 
-  static ImpreciseQuery CamryQuery() {
+  static ImpreciseQuery ModelQuery(const std::string& model) {
     ImpreciseQuery q;
-    q.Bind("Model", Value::Cat("Camry"));
+    q.Bind("Model", Value::Cat(model));
     return q;
   }
+  static ImpreciseQuery CamryQuery() { return ModelQuery("Camry"); }
 
   // Opens a client connection to \p server; callers close the fd.
   static int Connect(const AimqServer& server) {
@@ -333,7 +337,9 @@ TEST_F(LiveServiceTest, QueriesNeverFailAcrossConcurrentPublishes) {
   });
   for (int round = 0; round < 8; ++round) {
     ASSERT_TRUE(service.Ingest({CarRow("Toyota", "Camry")}).ok());
-    if (round % 3 == 2) ASSERT_TRUE(service.RefreshKnowledge().ok());
+    if (round % 3 == 2) {
+      ASSERT_TRUE(service.RefreshKnowledge().ok());
+    }
   }
   done.store(true);
   querier.join();
@@ -341,6 +347,152 @@ TEST_F(LiveServiceTest, QueriesNeverFailAcrossConcurrentPublishes) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(service.LiveStats().snapshot_version, 8u);
   EXPECT_EQ(service.LiveStats().ingested_rows_total, 8u);
+  service.Stop();
+}
+
+TEST_F(LiveServiceTest, StripedCacheMatchesTheCapturedVersionAcrossAPublish) {
+  // A 2^16-entry shared cache is 16 stripes. Eight clients replay a small
+  // catalog while one publish lands mid-stream, so entries cached at v0 are
+  // extended over the delta inside their own stripes.
+  AimqOptions engine_options = *options_;
+  engine_options.probe_cache_capacity = 1 << 16;
+  ServiceOptions sopts;
+  sopts.num_workers = 4;
+  sopts.queue_depth = 64;
+  // A plain copy of the rows of a snapshot, as a new source.
+  const auto copy_rows = [](const ColumnarRelation& cols) {
+    Relation rows(cols.schema());
+    for (size_t row = 0; row < cols.NumRows(); ++row) {
+      rows.AppendUnchecked(cols.MaterializeTuple(row));
+    }
+    return rows;
+  };
+  // Only a snapshot's first Extend continues its lineage, and other tests
+  // publish over db_, so this test serves a fresh copy of its rows.
+  const WebDatabase source("CarDB", copy_rows(*db_->columnar()));
+  AimqService service(&source, *knowledge_, engine_options, sopts);
+  ASSERT_TRUE(service.Start().ok());
+  ASSERT_NE(service.probe_cache(), nullptr);
+  ASSERT_TRUE(service.probe_cache()->coalescing_enabled());
+  const auto v0 = service.CurrentVersion();
+
+  const std::vector<ImpreciseQuery> catalog = {
+      ModelQuery("Camry"), ModelQuery("Civic"), ModelQuery("Accord"),
+      ModelQuery("Altima"), ModelQuery("Focus")};
+  // Which version an answer must match: a request submitted after the
+  // publish returned runs on v1, one that returned before the publish began
+  // ran on v0, and one that overlapped it may have captured either.
+  enum class Expect { kV0, kV1, kEither };
+  struct Observation {
+    size_t query = 0;
+    Expect expect = Expect::kEither;
+    QueryResponse response;
+  };
+  std::mutex record_mu;
+  std::vector<Observation> observations;
+  std::atomic<size_t> completed{0};
+  std::atomic<bool> publishing{false};
+  std::atomic<bool> published{false};
+  std::atomic<int> failures{0};
+
+  constexpr size_t kClients = 8;
+  constexpr size_t kRounds = 3 * 5;  // three passes over the catalog
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds || !published.load(); ++round) {
+        Observation ob;
+        ob.query = (t + round) % catalog.size();
+        const bool after = published.load();
+        auto response = service.Execute(catalog[ob.query]);
+        const bool before = !publishing.load();
+        if (!response.ok() || response->truncated) {
+          ++failures;
+          continue;
+        }
+        ob.expect = after    ? Expect::kV1
+                    : before ? Expect::kV0
+                             : Expect::kEither;
+        ob.response = std::move(*response);
+        std::lock_guard<std::mutex> lock(record_mu);
+        observations.push_back(std::move(ob));
+        ++completed;
+      }
+    });
+  }
+  // Publish once every client has had a turn (clients run until it lands).
+  EXPECT_TRUE(WaitFor([&] { return completed.load() >= kClients * 5; }));
+  publishing.store(true);
+  auto publish = service.Ingest(
+      {CarRow("Toyota", "Camry"), CarRow("Honda", "Civic")});
+  published.store(true);
+  for (std::thread& c : clients) c.join();
+  ASSERT_TRUE(publish.ok()) << publish.status().ToString();
+  const auto v1 = service.CurrentVersion();
+  ASSERT_EQ(v1->snapshot_version, 1u);
+  EXPECT_EQ(failures.load(), 0);
+
+  // Serial, cache-free reference engines over each version's rows.
+  AimqOptions reference_options = *options_;
+  reference_options.num_threads = 1;
+  reference_options.probe_cache_capacity = 0;
+  struct Expected {
+    std::vector<RankedAnswer> answers;
+    RelaxationStats stats;
+  };
+  const std::shared_ptr<const ServingVersion> versions[2] = {v0, v1};
+  std::vector<Expected> expected[2];  // by version, then catalog index
+  for (size_t v = 0; v < 2; ++v) {
+    const WebDatabase reference_db(
+        "CarDB", copy_rows(*versions[v]->source->columnar()));
+    AimqEngine reference(&reference_db, versions[v]->knowledge->knowledge,
+                         reference_options);
+    expected[v].resize(catalog.size());
+    for (size_t q = 0; q < catalog.size(); ++q) {
+      auto answers = reference.Answer(catalog[q], RelaxationStrategy::kGuided,
+                                      &expected[v][q].stats);
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      expected[v][q].answers = std::move(*answers);
+    }
+  }
+  const auto matches = [&](const Observation& ob, size_t v) {
+    const Expected& want = expected[v][ob.query];
+    const std::vector<RankedAnswer>& got = ob.response.answers;
+    if (got.size() != want.answers.size()) return false;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (!(got[i].tuple == want.answers[i].tuple) ||
+          got[i].similarity != want.answers[i].similarity) {
+        return false;
+      }
+    }
+    return ob.response.stats.tuples_relevant.load() ==
+               want.stats.tuples_relevant.load() &&
+           ob.response.stats.max_relax_depth.load() ==
+               want.stats.max_relax_depth.load();
+  };
+  size_t on_v1 = 0;
+  for (const Observation& ob : observations) {
+    const std::string where = "query " + std::to_string(ob.query);
+    switch (ob.expect) {
+      case Expect::kV0:
+        EXPECT_TRUE(matches(ob, 0)) << where << " on v0";
+        break;
+      case Expect::kV1:
+        EXPECT_TRUE(matches(ob, 1)) << where << " on v1";
+        ++on_v1;
+        break;
+      case Expect::kEither:
+        EXPECT_TRUE(matches(ob, 0) || matches(ob, 1)) << where;
+        break;
+    }
+  }
+  EXPECT_GE(on_v1, kClients);
+
+  // v1's lookups extended v0 entries in place; nothing was evicted.
+  const ProbeCacheStats stats = service.probe_cache()->stats();
+  EXPECT_GT(stats.extended, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
   service.Stop();
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -169,11 +171,21 @@ std::vector<uint32_t> DirectRows(const WebDatabase& db,
   return rows.ok() ? *rows : std::vector<uint32_t>{};
 }
 
-TEST(ProbeCacheTest, PublishedVersionsKeepEveryEntry) {
+// Runs \p check on a one-stripe cache and on a striped one (ProbeCache
+// splits a 2^18-entry cache into 16 stripes), so extensions are exercised
+// both ways.
+void AtEveryStripeCount(const std::function<void(size_t)>& check) {
+  for (const size_t capacity : {size_t{64}, size_t{1} << 18}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    check(capacity);
+  }
+}
+
+void CheckPublishedVersionsKeepEveryEntry(size_t capacity) {
   WebDatabase v0 = MakeDb();
   WebDatabase v1 =
       ExtendDb(v0, {Tuple({Value::Cat("Ford"), Value::Cat("Focus")})}, 1);
-  ProbeCache cache(8);
+  ProbeCache cache(capacity);
 
   ASSERT_TRUE(cache.Execute(v0, MakeQuery("Toyota")).ok());
   ASSERT_TRUE(cache.Execute(v0, MakeQuery("Honda")).ok());
@@ -202,9 +214,13 @@ TEST(ProbeCacheTest, PublishedVersionsKeepEveryEntry) {
   EXPECT_EQ(stats.extended, 2u);  // Toyota and Honda, once each
 }
 
-TEST(ProbeCacheTest, StaleVersionEntriesNeverAnswerNewVersionProbes) {
+TEST(ProbeCacheTest, PublishedVersionsKeepEveryEntry) {
+  AtEveryStripeCount(CheckPublishedVersionsKeepEveryEntry);
+}
+
+void CheckStaleVersionEntriesNeverAnswerNewVersionProbes(size_t capacity) {
   WebDatabase v0 = MakeDb();
-  ProbeCache cache(8);
+  ProbeCache cache(capacity);
   auto old_rows = cache.ExecuteRows(v0, MakeQuery("Toyota"));
   ASSERT_TRUE(old_rows.ok());
   ASSERT_EQ((*old_rows)->size(), 2u);
@@ -221,9 +237,13 @@ TEST(ProbeCacheTest, StaleVersionEntriesNeverAnswerNewVersionProbes) {
   EXPECT_EQ(cache.stats().extended, 1u);
 }
 
-TEST(ProbeCacheTest, ExtensionEvaluatesOnlyTheDeltaRows) {
+TEST(ProbeCacheTest, StaleVersionEntriesNeverAnswerNewVersionProbes) {
+  AtEveryStripeCount(CheckStaleVersionEntriesNeverAnswerNewVersionProbes);
+}
+
+void CheckExtensionEvaluatesOnlyTheDeltaRows(size_t capacity) {
   WebDatabase v0 = MakeDb();
-  ProbeCache cache(8);
+  ProbeCache cache(capacity);
   ASSERT_TRUE(cache.ExecuteRows(v0, MakeQuery("Toyota")).ok());
   WebDatabase v1 =
       ExtendDb(v0,
@@ -256,9 +276,13 @@ TEST(ProbeCacheTest, ExtensionEvaluatesOnlyTheDeltaRows) {
   EXPECT_EQ(cache.stats().extended, 1u);
 }
 
-TEST(ProbeCacheTest, EmptyDeltaRestampsTheSameList) {
+TEST(ProbeCacheTest, ExtensionEvaluatesOnlyTheDeltaRows) {
+  AtEveryStripeCount(CheckExtensionEvaluatesOnlyTheDeltaRows);
+}
+
+void CheckEmptyDeltaRestampsTheSameList(size_t capacity) {
   WebDatabase v0 = MakeDb();
-  ProbeCache cache(8);
+  ProbeCache cache(capacity);
   auto old_rows = cache.ExecuteRows(v0, MakeQuery("Honda"));
   ASSERT_TRUE(old_rows.ok());
   WebDatabase v1 =
@@ -279,11 +303,15 @@ TEST(ProbeCacheTest, EmptyDeltaRestampsTheSameList) {
   EXPECT_EQ(v1.stats().queries_issued, 1u);
 }
 
-TEST(ProbeCacheTest, OlderReaderGetsThePrefixAndLeavesTheEntry) {
+TEST(ProbeCacheTest, EmptyDeltaRestampsTheSameList) {
+  AtEveryStripeCount(CheckEmptyDeltaRestampsTheSameList);
+}
+
+void CheckOlderReaderGetsThePrefixAndLeavesTheEntry(size_t capacity) {
   WebDatabase v0 = MakeDb();
   WebDatabase v1 =
       ExtendDb(v0, {Tuple({Value::Cat("Toyota"), Value::Cat("Prius")})}, 1);
-  ProbeCache cache(8);
+  ProbeCache cache(capacity);
   auto newest = cache.ExecuteRows(v1, MakeQuery("Toyota"));
   ASSERT_TRUE(newest.ok());
   ASSERT_EQ(**newest, (std::vector<uint32_t>{0, 1, 3}));
@@ -309,7 +337,11 @@ TEST(ProbeCacheTest, OlderReaderGetsThePrefixAndLeavesTheEntry) {
   EXPECT_EQ(stats.misses, 2u);
 }
 
-TEST(ProbeCacheTest, DeltaErrorIsNotCachedAndTheEntrySurvives) {
+TEST(ProbeCacheTest, OlderReaderGetsThePrefixAndLeavesTheEntry) {
+  AtEveryStripeCount(CheckOlderReaderGetsThePrefixAndLeavesTheEntry);
+}
+
+void CheckDeltaErrorIsNotCachedAndTheEntrySurvives(size_t capacity) {
   // A range predicate on a categorical attribute fails on every non-null
   // row it reaches. v0's Toyota rows hold no Model, so v0 answers cleanly;
   // v1 adds a Toyota row with a Model, which the delta probe must reject.
@@ -321,7 +353,7 @@ TEST(ProbeCacheTest, DeltaErrorIsNotCachedAndTheEntrySurvives) {
   const SelectionQuery query(
       {Predicate::Eq("Make", Value::Cat("Toyota")),
        Predicate("Model", CompareOp::kLt, Value::Num(5))});
-  ProbeCache cache(8);
+  ProbeCache cache(capacity);
   auto old_rows = cache.ExecuteRows(v0, query);
   ASSERT_TRUE(old_rows.ok()) << old_rows.status().ToString();
   EXPECT_TRUE((*old_rows)->empty());
@@ -345,6 +377,10 @@ TEST(ProbeCacheTest, DeltaErrorIsNotCachedAndTheEntrySurvives) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(again->get(), old_rows->get());
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ProbeCacheTest, DeltaErrorIsNotCachedAndTheEntrySurvives) {
+  AtEveryStripeCount(CheckDeltaErrorIsNotCachedAndTheEntrySurvives);
 }
 
 // Hits hand out the entry's row list itself; a holder keeps reading it
@@ -450,6 +486,125 @@ TEST(ProbeCacheTest, ConcurrentMixedWorkloadStaysConsistent) {
   EXPECT_GE(stats.misses, 2u);
   EXPECT_GT(stats.hits, kRounds / 2);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ProbeCacheTest, StripeCountFollowsCapacity) {
+  EXPECT_EQ(ProbeCache::StripeCount(0), 1u);
+  EXPECT_EQ(ProbeCache::StripeCount(64), 1u);
+  EXPECT_EQ(ProbeCache::StripeCount(4096), 1u);
+  EXPECT_EQ(ProbeCache::StripeCount(8191), 1u);
+  EXPECT_EQ(ProbeCache::StripeCount(8192), 2u);
+  EXPECT_EQ(ProbeCache::StripeCount(1 << 14), 4u);
+  EXPECT_EQ(ProbeCache::StripeCount(1 << 16), 16u);
+  EXPECT_EQ(ProbeCache::StripeCount(1 << 18), 16u);
+}
+
+// \p rows rows whose Price is 0, 1, ..., rows - 1.
+WebDatabase PriceDb(size_t rows) {
+  Relation data(Schema::Make({{"Make", AttrType::kCategorical},
+                              {"Price", AttrType::kNumeric}})
+                    .ValueOrDie());
+  for (size_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(data.Append(Tuple({Value::Cat("Toyota"),
+                                   Value::Num(static_cast<double>(i))}))
+                    .ok());
+  }
+  return WebDatabase("PriceDB", std::move(data));
+}
+
+// `Price < i + 0.5`: a distinct key for every i, matching min(i + 1, rows)
+// rows of PriceDb.
+SelectionQuery PriceBelow(size_t i) {
+  return SelectionQuery({Predicate("Price", CompareOp::kLt,
+                                   Value::Num(static_cast<double>(i) + 0.5))});
+}
+
+TEST(ProbeCacheTest, StripedHitsCountExactlyUnderConcurrency) {
+  constexpr size_t kRows = 32;
+  constexpr size_t kKeys = 10240;
+  constexpr size_t kRepeats = 4;
+  const WebDatabase db = PriceDb(kRows);
+  ProbeCache cache(1 << 18);  // 16 stripes; the keys spread over all of them
+  cache.EnableCoalescing(true);
+
+  std::atomic<size_t> wrong_answers{0};
+  ParallelFor(kKeys * kRepeats, 8, [&](size_t call) {
+    const size_t i = call % kKeys;
+    auto rows = cache.ExecuteRows(db, PriceBelow(i));
+    if (!rows.ok() || (*rows)->size() != std::min(i + 1, kRows)) {
+      ++wrong_answers;
+    }
+  });
+  EXPECT_EQ(wrong_answers.load(), 0u);
+
+  // Coalescing computes each key exactly once, whichever stripe holds it.
+  const ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, kKeys * kRepeats);
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(cache.size(), kKeys);
+  EXPECT_EQ(db.stats().queries_issued, kKeys);
+  EXPECT_EQ(cache.InFlightWaiters(), 0u);
+}
+
+TEST(ProbeCacheTest, StripedCacheHoldsExactlyItsCapacity) {
+  // Two stripes of 4098 and 4097 entries; far more keys than fit, so each
+  // stripe fills to its share and evicts the rest.
+  constexpr size_t kCapacity = 8195;
+  constexpr size_t kKeys = 20000;
+  const WebDatabase db = PriceDb(4);
+  ProbeCache cache(kCapacity);
+  for (size_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(cache.ExecuteRows(db, PriceBelow(i)).ok());
+  }
+  EXPECT_EQ(cache.size(), kCapacity);
+  const ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.evictions, kKeys - kCapacity);
+}
+
+TEST(ProbeCacheTest, ClearStatsAndSizeRaceWithStripedHits) {
+  constexpr size_t kRows = 32;
+  constexpr size_t kKeys = 512;
+  const WebDatabase db = PriceDb(kRows);
+  ProbeCache cache(1 << 18);
+  cache.EnableCoalescing(true);
+
+  std::atomic<size_t> wrong_answers{0};
+  std::atomic<size_t> torn_stats{0};
+  ParallelFor(8 * 2000, 8, [&](size_t call) {
+    // Every 16th call reads or clears the whole cache instead of probing.
+    switch (call % 64) {
+      case 0:
+        cache.Clear();
+        return;
+      case 16: {
+        const ProbeCacheStats stats = cache.stats();
+        if (stats.hits + stats.misses != stats.lookups) ++torn_stats;
+        return;
+      }
+      case 32:
+        if (cache.size() > kKeys) ++wrong_answers;
+        return;
+      case 48:
+        (void)cache.InFlightWaiters();
+        return;
+      default:
+        break;
+    }
+    const size_t i = call % kKeys;
+    auto rows = cache.ExecuteRows(db, PriceBelow(i));
+    if (!rows.ok() || (*rows)->size() != std::min(i + 1, kRows)) {
+      ++wrong_answers;
+    }
+  });
+  EXPECT_EQ(wrong_answers.load(), 0u);
+  EXPECT_EQ(torn_stats.load(), 0u);
+  const ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_LE(cache.size(), kKeys);
 }
 
 }  // namespace

@@ -111,9 +111,19 @@ bool WaitFor(const std::function<bool()>& done) {
   return true;
 }
 
-TEST(ProbeCoalescingTest, ConcurrentIdenticalProbesCostOneScan) {
+// Runs \p check on a one-stripe cache and on a striped one (ProbeCache
+// splits a 2^18-entry cache into 16 stripes), so flights and extensions are
+// exercised both ways.
+void AtEveryStripeCount(const std::function<void(size_t)>& check) {
+  for (const size_t capacity : {size_t{64}, size_t{1} << 18}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    check(capacity);
+  }
+}
+
+void CheckConcurrentIdenticalProbesCostOneScan(size_t capacity) {
   GatedDb db("CarDB", SmallCarDb());
-  ProbeCache cache(64);
+  ProbeCache cache(capacity);
   cache.EnableCoalescing(true);
   ASSERT_TRUE(cache.coalescing_enabled());
 
@@ -163,9 +173,13 @@ TEST(ProbeCoalescingTest, ConcurrentIdenticalProbesCostOneScan) {
   EXPECT_EQ(cache.stats().coalesced, kSessions - 1);
 }
 
-TEST(ProbeCoalescingTest, LeaderErrorReachesEveryFollowerAndIsNotCached) {
+TEST(ProbeCoalescingTest, ConcurrentIdenticalProbesCostOneScan) {
+  AtEveryStripeCount(CheckConcurrentIdenticalProbesCostOneScan);
+}
+
+void CheckLeaderErrorReachesEveryFollowerAndIsNotCached(size_t capacity) {
   GatedDb db("CarDB", SmallCarDb(), /*fail=*/true);
-  ProbeCache cache(64);
+  ProbeCache cache(capacity);
   cache.EnableCoalescing(true);
 
   constexpr size_t kSessions = 4;
@@ -193,13 +207,17 @@ TEST(ProbeCoalescingTest, LeaderErrorReachesEveryFollowerAndIsNotCached) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ProbeCoalescingTest, FollowersParkedAcrossVersionSwapGetLeaderAnswer) {
+TEST(ProbeCoalescingTest, LeaderErrorReachesEveryFollowerAndIsNotCached) {
+  AtEveryStripeCount(CheckLeaderErrorReachesEveryFollowerAndIsNotCached);
+}
+
+void CheckFollowersParkedAcrossVersionSwapGetLeaderAnswer(size_t capacity) {
   // Regression test for live ingest: a publish may land while probes are
   // mid-flight, and the cache keeps its entries across it. Followers parked
   // on an old-version leader must still be handed the leader's old-version
   // answer, while a session on the new version gets the new version's.
   GatedDb db("CarDB", SmallCarDb());
-  ProbeCache cache(64);
+  ProbeCache cache(capacity);
   cache.EnableCoalescing(true);
 
   constexpr size_t kSessions = 4;
@@ -252,14 +270,18 @@ TEST(ProbeCoalescingTest, FollowersParkedAcrossVersionSwapGetLeaderAnswer) {
   EXPECT_EQ(db.calls(), 1);
 }
 
-TEST(ProbeCoalescingTest, FollowersNeverShareAFlightAcrossRowCounts) {
+TEST(ProbeCoalescingTest, FollowersParkedAcrossVersionSwapGetLeaderAnswer) {
+  AtEveryStripeCount(CheckFollowersParkedAcrossVersionSwapGetLeaderAnswer);
+}
+
+void CheckFollowersNeverShareAFlightAcrossRowCounts(size_t capacity) {
   // Two snapshots of one lineage, both gated: old-version and new-version
   // sessions miss the same key at once. Each row count gets its own leader
   // and its followers; releasing the newer leader first must answer only
   // its own followers.
   GatedDb older("CarDB", SmallCarDb());
   GatedDb newer("CarDB", PublishToyota(older));
-  ProbeCache cache(64);
+  ProbeCache cache(capacity);
   cache.EnableCoalescing(true);
 
   constexpr size_t kPerVersion = 3;
@@ -300,15 +322,23 @@ TEST(ProbeCoalescingTest, FollowersNeverShareAFlightAcrossRowCounts) {
   EXPECT_EQ(stats.coalesced, 2 * (kPerVersion - 1));
 }
 
-TEST(ProbeCoalescingTest, DisabledCoalescingNeverParksSessions) {
+TEST(ProbeCoalescingTest, FollowersNeverShareAFlightAcrossRowCounts) {
+  AtEveryStripeCount(CheckFollowersNeverShareAFlightAcrossRowCounts);
+}
+
+void CheckDisabledCoalescingNeverParksSessions(size_t capacity) {
   GatedDb db("CarDB", SmallCarDb());
   db.Release();  // no gating needed; assert the steady-state accounting
-  ProbeCache cache(64);
+  ProbeCache cache(capacity);
   ASSERT_FALSE(cache.coalescing_enabled());
   auto first = cache.ExecuteRows(db, ToyotaQuery());
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cache.InFlightWaiters(), 0u);
   EXPECT_EQ(cache.stats().coalesced, 0u);
+}
+
+TEST(ProbeCoalescingTest, DisabledCoalescingNeverParksSessions) {
+  AtEveryStripeCount(CheckDisabledCoalescingNeverParksSessions);
 }
 
 }  // namespace
