@@ -1,6 +1,5 @@
 #include "obs/metrics_registry.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -10,22 +9,11 @@ namespace obs {
 
 namespace {
 
-// Every 8th geometric bound keeps the exposition at 12 buckets + +Inf,
-// matching the pre-registry service exposition exactly.
+// Every 8th geometric bound keeps the exposition at 12 buckets + +Inf
+// (relative error <= ~6x one bucket's 25%, still far finer than scrape
+// dashboards need). Only the text exposition coarsens; JSON percentiles use
+// every bucket.
 constexpr size_t kBucketStride = 8;
-
-// One canonical key for the (name, labels) instrument map; labels are
-// compared in emission order, which every call site keeps stable.
-std::string LabelsKey(const MetricLabels& labels) {
-  std::string key;
-  for (const auto& [k, v] : labels) {
-    key += k;
-    key += '\x1f';
-    key += v;
-    key += '\x1e';
-  }
-  return key;
-}
 
 void AppendScalar(std::string* out, double value) {
   if (!std::isfinite(value)) value = 0.0;
@@ -73,12 +61,14 @@ const char* KindName(MetricKind kind) {
 
 void RenderHistogramSample(std::string* out, const std::string& name,
                            const MetricSample& sample) {
-  const HistogramData& data = sample.histogram;
+  const HistogramSnapshot& data = sample.histogram;
   uint64_t cumulative = 0;
   char bound[40];
-  for (size_t i = 0; i < data.bounds.size() && i < data.counts.size(); ++i) {
-    cumulative += data.counts[i];
-    std::snprintf(bound, sizeof(bound), "%.6g", data.bounds[i]);
+  for (size_t i = 0; i < data.bucket_counts.size(); ++i) {
+    cumulative += data.bucket_counts[i];
+    if ((i + 1) % kBucketStride != 0) continue;
+    std::snprintf(bound, sizeof(bound), "%.6g",
+                  LatencyHistogram::BucketUpperBound(i));
     *out += name;
     *out += "_bucket";
     const std::pair<const char*, std::string> le{"le", bound};
@@ -99,7 +89,7 @@ void RenderHistogramSample(std::string* out, const std::string& name,
   *out += "_sum";
   AppendLabels(out, sample.labels, nullptr);
   *out += ' ';
-  AppendScalar(out, data.sum);
+  AppendScalar(out, data.sum_seconds);
   *out += '\n';
   *out += name;
   *out += "_count";
@@ -108,44 +98,19 @@ void RenderHistogramSample(std::string* out, const std::string& name,
   *out += buf;
 }
 
+// {"count","sum","p50","p95","p99","max"} of one histogram sample.
+Json HistogramSummary(const HistogramSnapshot& h) {
+  Json out = Json::Obj();
+  out.Set("count", Json::Num(static_cast<double>(h.count)));
+  out.Set("sum", Json::Num(h.sum_seconds));
+  out.Set("p50", Json::Num(h.Percentile(0.50)));
+  out.Set("p95", Json::Num(h.Percentile(0.95)));
+  out.Set("p99", Json::Num(h.Percentile(0.99)));
+  out.Set("max", Json::Num(h.max_seconds));
+  return out;
+}
+
 }  // namespace
-
-double HistogramData::Percentile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::min(std::max(q, 0.0), 1.0);
-  // Rank of the answering observation, at least 1 so q=0 reports the first
-  // non-empty bucket (the minimum's bucket), not an empty leading one.
-  const uint64_t target = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(count))));
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts.size() && i < bounds.size(); ++i) {
-    cumulative += counts[i];
-    if (cumulative >= target) return bounds[i];
-  }
-  // Target rank lives in the +Inf bucket: the finite bounds can only bound
-  // it from below, so report the largest one (0 with no bounds at all).
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
-HistogramData FromHistogramSnapshot(const HistogramSnapshot& snapshot) {
-  HistogramData data;
-  data.count = snapshot.count;
-  data.sum = snapshot.sum_seconds;
-  uint64_t in_window = 0;
-  for (size_t i = 0; i < snapshot.bucket_counts.size(); ++i) {
-    in_window += snapshot.bucket_counts[i];
-    if ((i + 1) % kBucketStride == 0) {
-      data.bounds.push_back(LatencyHistogram::BucketUpperBound(i));
-      data.counts.push_back(in_window);
-      in_window = 0;
-    }
-  }
-  return data;
-}
-
-HistogramData FromLatencyHistogram(const LatencyHistogram& histogram) {
-  return FromHistogramSnapshot(histogram.Snapshot());
-}
 
 std::string EscapePrometheusLabel(const std::string& value) {
   std::string out;
@@ -228,83 +193,12 @@ void MetricsRegistry::Emitter::Gauge(const std::string& name,
 
 void MetricsRegistry::Emitter::Histogram(const std::string& name,
                                          const std::string& help,
-                                         HistogramData data,
+                                         HistogramSnapshot snapshot,
                                          MetricLabels labels) {
   MetricSample sample;
   sample.labels = std::move(labels);
-  sample.histogram = std::move(data);
+  sample.histogram = std::move(snapshot);
   Append(name, help, MetricKind::kHistogram, std::move(sample));
-}
-
-MetricsRegistry::Instrument* MetricsRegistry::GetInstrumentLocked(
-    const std::string& name, const std::string& help, MetricKind kind,
-    MetricLabels labels) {
-  Family* family = nullptr;
-  auto it = family_index_.find(name);
-  if (it != family_index_.end()) {
-    family = families_[it->second].get();
-    if (family->kind != kind) family = nullptr;  // mismatch: park detached
-  } else {
-    auto created = std::make_unique<Family>();
-    created->name = name;
-    created->help = help;
-    created->kind = kind;
-    family_index_.emplace(name, families_.size());
-    families_.push_back(std::move(created));
-    family = families_.back().get();
-  }
-  if (family != nullptr) {
-    const std::string key = LabelsKey(labels);
-    for (const auto& instrument : family->instruments) {
-      if (LabelsKey(instrument->labels) == key) return instrument.get();
-    }
-  }
-  auto instrument = std::make_unique<Instrument>();
-  instrument->labels = std::move(labels);
-  switch (kind) {
-    case MetricKind::kCounter:
-      instrument->counter = std::make_unique<Counter>();
-      break;
-    case MetricKind::kGauge:
-      instrument->gauge = std::make_unique<Gauge>();
-      break;
-    case MetricKind::kHistogram:
-      instrument->histogram = std::make_unique<LatencyHistogram>();
-      break;
-  }
-  Instrument* out = instrument.get();
-  if (family != nullptr) {
-    family->instruments.push_back(std::move(instrument));
-  } else {
-    detached_.push_back(std::move(instrument));
-  }
-  return out;
-}
-
-MetricsRegistry::Counter* MetricsRegistry::GetCounter(const std::string& name,
-                                                      const std::string& help,
-                                                      MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetInstrumentLocked(name, help, MetricKind::kCounter,
-                             std::move(labels))
-      ->counter.get();
-}
-
-MetricsRegistry::Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                                  const std::string& help,
-                                                  MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetInstrumentLocked(name, help, MetricKind::kGauge, std::move(labels))
-      ->gauge.get();
-}
-
-LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                                const std::string& help,
-                                                MetricLabels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetInstrumentLocked(name, help, MetricKind::kHistogram,
-                             std::move(labels))
-      ->histogram.get();
 }
 
 void MetricsRegistry::AddCollector(Collector collector) {
@@ -315,31 +209,6 @@ void MetricsRegistry::AddCollector(Collector collector) {
 std::vector<FamilySnapshot> MetricsRegistry::Collect() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FamilySnapshot> out;
-  out.reserve(families_.size());
-  for (const auto& family : families_) {
-    FamilySnapshot snap;
-    snap.name = family->name;
-    snap.help = family->help;
-    snap.kind = family->kind;
-    snap.samples.reserve(family->instruments.size());
-    for (const auto& instrument : family->instruments) {
-      MetricSample sample;
-      sample.labels = instrument->labels;
-      switch (family->kind) {
-        case MetricKind::kCounter:
-          sample.value = static_cast<double>(instrument->counter->Value());
-          break;
-        case MetricKind::kGauge:
-          sample.value = instrument->gauge->Value();
-          break;
-        case MetricKind::kHistogram:
-          sample.histogram = FromLatencyHistogram(*instrument->histogram);
-          break;
-      }
-      snap.samples.push_back(std::move(sample));
-    }
-    out.push_back(std::move(snap));
-  }
   Emitter emitter(&out);
   for (const Collector& collector : collectors_) {
     collector(&emitter);
@@ -354,39 +223,21 @@ std::string MetricsRegistry::PrometheusText() const {
 Json MetricsRegistry::JsonSnapshot() const {
   Json out = Json::Obj();
   for (const FamilySnapshot& family : Collect()) {
-    if (family.kind == MetricKind::kHistogram) {
-      // One object (or array of labelled objects) of distribution summaries.
-      auto summarize = [](const MetricSample& s) {
-        Json h = Json::Obj();
-        h.Set("count", Json::Num(static_cast<double>(s.histogram.count)));
-        h.Set("sum", Json::Num(s.histogram.sum));
-        h.Set("p50", Json::Num(s.histogram.Percentile(0.50)));
-        h.Set("p95", Json::Num(s.histogram.Percentile(0.95)));
-        h.Set("p99", Json::Num(s.histogram.Percentile(0.99)));
-        return h;
-      };
-      if (family.samples.size() == 1 && family.samples[0].labels.empty()) {
-        out.Set(family.name, summarize(family.samples[0]));
-      } else {
-        Json arr = Json::Arr();
-        for (const MetricSample& s : family.samples) {
-          Json h = summarize(s);
-          for (const auto& [k, v] : s.labels) h.Set(k, Json::Str(v));
-          arr.Push(std::move(h));
-        }
-        out.Set(family.name, std::move(arr));
-      }
-      continue;
-    }
+    const bool histogram = family.kind == MetricKind::kHistogram;
+    // The same rule as AppendScalar: a non-finite value reads as 0.
+    const auto value = [histogram](const MetricSample& s) {
+      if (histogram) return HistogramSummary(s.histogram);
+      return Json::Num(std::isfinite(s.value) ? s.value : 0.0);
+    };
     if (family.samples.size() == 1 && family.samples[0].labels.empty()) {
-      out.Set(family.name, Json::Num(family.samples[0].value));
+      out.Set(family.name, value(family.samples[0]));
       continue;
     }
     Json arr = Json::Arr();
     for (const MetricSample& s : family.samples) {
-      Json entry = Json::Obj();
+      Json entry = histogram ? value(s) : Json::Obj();
       for (const auto& [k, v] : s.labels) entry.Set(k, Json::Str(v));
-      entry.Set("value", Json::Num(s.value));
+      if (!histogram) entry.Set("value", value(s));
       arr.Push(std::move(entry));
     }
     out.Set(family.name, std::move(arr));

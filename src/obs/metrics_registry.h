@@ -1,41 +1,32 @@
-// MetricsRegistry: the engine-wide metric registry behind `GET /metrics`.
+// MetricsRegistry: the engine-wide metric registry, and the only way
+// metrics leave the process. `GET /metrics` renders it as Prometheus text;
+// `GET /metrics.json`, `{"op":"stats"}` and `{"op":"metrics"}` render the
+// same families as JSON, and the benches embed that JSON in their --json=
+// baselines.
 //
-// Since PR 4 every subsystem grew its own stats struct — ServiceMetrics,
-// ProbeCacheStats, BlockCache::Stats, per-shard probe snapshots, SIMD
-// dispatch counters — each with its own export path. The registry unifies
-// them behind one model:
+// Every subsystem keeps its native accounting — ServiceMetrics' atomics and
+// LatencyHistograms, ProbeCache's per-stripe stats, BlockCache::Stats,
+// per-shard probe snapshots, SIMD dispatch counters — and registers a pull
+// collector: a callback invoked at Collect() time that emits point-in-time
+// samples through an Emitter. Nothing is pushed into the registry on a hot
+// path; the busiest counters (probe-cache stripes, bumped under the stripe
+// lock) are read only at scrape time, so scraping never adds cross-core
+// cache-line traffic to a query.
 //
-//  - First-class instruments (Counter / Gauge / histogram) are registered
-//    once (short mutex) and then updated lock-free: Counter::Inc is one
-//    relaxed fetch_add, Gauge::Set one relaxed store, histogram recording a
-//    LatencyHistogram::Record. Registration returns stable pointers, so hot
-//    paths hold the instrument, never the registry.
-//  - Pull collectors adapt the existing per-subsystem stats structs without
-//    rewriting them: a collector is a callback invoked at Collect() time
-//    that emits point-in-time samples through an Emitter. The subsystems
-//    keep their native accounting; the registry reads it on scrape.
-//
-// Collect() renders both worlds into one list of FamilySnapshots (name,
+// Collect() renders the collectors into one list of FamilySnapshots (name,
 // help, kind, labelled samples), which is the single source for the
 // Prometheus text exposition (escaped label values, # HELP / # TYPE for
-// every family, cumulative histogram buckets) and for the JSON snapshot the
-// benches embed in their --json= baselines.
+// every family, cumulative histogram buckets) and for the JSON snapshot.
 //
-// Thread model: instrument updates are wait-free on atomics; registration,
-// AddCollector, and Collect() serialize on one registry mutex. Collect()
-// under concurrent increments has torn-snapshot semantics (a counter may
-// lag another by a few updates, never corrupt) — the same contract
-// LatencyHistogram already gives.
+// Thread model: AddCollector and Collect() serialize on one registry mutex.
+// Collect() under concurrent updates has torn-snapshot semantics (a counter
+// may lag another by a few updates, never corrupt) — the same contract
+// LatencyHistogram gives.
 
 #ifndef AIMQ_OBS_METRICS_REGISTRY_H_
 #define AIMQ_OBS_METRICS_REGISTRY_H_
 
-#include <atomic>
-#include <cstdint>
-#include <cstring>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -52,31 +43,12 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Explicit-bucket histogram data of one sample. Bounds are ascending upper
-/// bounds in the family's unit; counts[i] is the (non-cumulative) count of
-/// observations <= bounds[i] and > bounds[i-1]; observations beyond the last
-/// bound are count - sum(counts) and render under the +Inf bucket.
-struct HistogramData {
-  std::vector<double> bounds;
-  std::vector<uint64_t> counts;
-  uint64_t count = 0;
-  double sum = 0.0;
-
-  /// Upper bound of the bucket holding quantile \p q in [0,1]; 0 when empty.
-  double Percentile(double q) const;
-};
-
-/// Coarsens a LatencyHistogram snapshot to every 8th geometric bound (12
-/// exposition buckets + +Inf), matching the service's historical exposition.
-HistogramData FromHistogramSnapshot(const HistogramSnapshot& snapshot);
-HistogramData FromLatencyHistogram(const LatencyHistogram& histogram);
-
-/// One sample of a family: labels plus a scalar value (counter/gauge) or
-/// histogram data.
+/// One sample of a family: labels plus a scalar value (counter/gauge) or a
+/// full-resolution histogram snapshot (histogram families, in seconds).
 struct MetricSample {
   MetricLabels labels;
   double value = 0.0;
-  HistogramData histogram;  ///< histogram families only
+  HistogramSnapshot histogram;  ///< histogram families only
 };
 
 /// One metric family as of a Collect() call.
@@ -92,44 +64,18 @@ std::string EscapePrometheusLabel(const std::string& value);
 
 /// Renders families as Prometheus text exposition format 0.0.4: one
 /// # HELP / # TYPE pair per family, escaped label values, cumulative
-/// histogram buckets ending at +Inf. Non-finite scalar values render as 0.
+/// histogram buckets ending at +Inf. Histograms are coarsened to every 8th
+/// of LatencyHistogram's 96 geometric bounds (12 buckets + +Inf); _sum and
+/// _count stay exact. Non-finite scalar values render as 0.
 std::string RenderPrometheusText(const std::vector<FamilySnapshot>& families);
 
-/// \brief Central labelled metric registry (see file comment).
+/// \brief Central labelled metric registry over pull collectors (see file
+/// comment).
 class MetricsRegistry {
  public:
-  /// Monotonic counter; Inc is one relaxed fetch_add.
-  class Counter {
-   public:
-    void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-    uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
-   private:
-    std::atomic<uint64_t> value_{0};
-  };
-
-  /// Last-write-wins double gauge; Set is one relaxed store.
-  class Gauge {
-   public:
-    void Set(double v) {
-      uint64_t bits = 0;
-      std::memcpy(&bits, &v, sizeof(bits));
-      bits_.store(bits, std::memory_order_relaxed);
-    }
-    double Value() const {
-      const uint64_t bits = bits_.load(std::memory_order_relaxed);
-      double v = 0.0;
-      std::memcpy(&v, &bits, sizeof(v));
-      return v;
-    }
-
-   private:
-    std::atomic<uint64_t> bits_{0};
-  };
-
   /// Sample sink handed to pull collectors. Append-only; an emitted family
   /// name that matches an already-collected family merges its samples into
-  /// it (first registration wins the help text and kind).
+  /// it (first emission wins the help text and kind).
   class Emitter {
    public:
     void Counter(const std::string& name, const std::string& help,
@@ -137,7 +83,7 @@ class MetricsRegistry {
     void Gauge(const std::string& name, const std::string& help, double value,
                MetricLabels labels = {});
     void Histogram(const std::string& name, const std::string& help,
-                   HistogramData data, MetricLabels labels = {});
+                   HistogramSnapshot snapshot, MetricLabels labels = {});
 
    private:
     friend class MetricsRegistry;
@@ -153,61 +99,28 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers (or finds) the \p labels instrument of counter family
-  /// \p name. The returned pointer is stable for the registry's lifetime.
-  /// Re-registering an existing (name, labels) pair returns the same
-  /// instrument; a name already registered with a different kind returns a
-  /// detached instrument that is never rendered.
-  Counter* GetCounter(const std::string& name, const std::string& help,
-                      MetricLabels labels = {});
-  Gauge* GetGauge(const std::string& name, const std::string& help,
-                  MetricLabels labels = {});
-  LatencyHistogram* GetHistogram(const std::string& name,
-                                 const std::string& help,
-                                 MetricLabels labels = {});
-
   /// Registers a pull collector, run on every Collect() under the registry
   /// lock. Collectors must not call back into this registry.
   void AddCollector(Collector collector);
 
-  /// One point-in-time snapshot: first-class families in registration
-  /// order, then collector-emitted families (merged by name).
+  /// One point-in-time snapshot: collector-emitted families in first-
+  /// emission order, merged by name.
   std::vector<FamilySnapshot> Collect() const;
 
-  /// RenderPrometheusText(Collect()) — the one exposition path.
+  /// RenderPrometheusText(Collect()) — the text exposition.
   std::string PrometheusText() const;
 
-  /// Collect() as one JSON object keyed by family name. Scalar families
-  /// with a single unlabelled sample flatten to a number; labelled families
-  /// render as arrays of {<labels...>,"value":v}; histograms as
-  /// {"count":..,"sum":..,"p50":..,"p95":..,"p99":..}.
+  /// Collect() as one JSON object keyed by family name, with the same
+  /// values as PrometheusText() (non-finite scalars render as 0). Scalar
+  /// families with a single unlabelled sample flatten to a number;
+  /// labelled families render as arrays of {<labels...>,"value":v};
+  /// histograms as {"count":..,"sum":..,"p50":..,"p95":..,"p99":..,
+  /// "max":..} in seconds, percentiles over all 96 buckets
+  /// (HistogramSnapshot::Percentile). The mean is sum / count.
   Json JsonSnapshot() const;
 
  private:
-  struct Instrument {
-    MetricLabels labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<LatencyHistogram> histogram;
-  };
-  struct Family {
-    std::string name;
-    std::string help;
-    MetricKind kind = MetricKind::kCounter;
-    std::vector<std::unique_ptr<Instrument>> instruments;
-  };
-
-  // Requires mu_ held. Finds-or-creates the family and instrument cell.
-  Instrument* GetInstrumentLocked(const std::string& name,
-                                  const std::string& help, MetricKind kind,
-                                  MetricLabels labels);
-
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Family>> families_;        // registration order
-  std::map<std::string, size_t> family_index_;           // name -> index
-  // Kind-mismatch registrations park here so callers always get a live
-  // instrument (never rendered).
-  std::vector<std::unique_ptr<Instrument>> detached_;
   std::vector<Collector> collectors_;
 };
 

@@ -2,22 +2,6 @@
 
 namespace aimq {
 
-namespace {
-
-Json HistogramJson(const LatencyHistogram& h) {
-  Json out = Json::Obj();
-  const HistogramSnapshot snap = h.Snapshot();
-  out.Set("count", Json::Num(static_cast<double>(snap.count)));
-  out.Set("mean_ms", Json::Num(snap.MeanSeconds() * 1e3));
-  out.Set("p50_ms", Json::Num(h.Percentile(0.50) * 1e3));
-  out.Set("p95_ms", Json::Num(h.Percentile(0.95) * 1e3));
-  out.Set("p99_ms", Json::Num(h.Percentile(0.99) * 1e3));
-  out.Set("max_ms", Json::Num(snap.max_seconds * 1e3));
-  return out;
-}
-
-}  // namespace
-
 void ServiceMetrics::OnTenantAccepted(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(tenants_mu_);
   ++tenants_[tenant].accepted;
@@ -49,54 +33,6 @@ double ServiceMetrics::RejectionRate() const {
   const uint64_t total = a + r;
   return total == 0 ? 0.0
                     : static_cast<double>(r) / static_cast<double>(total);
-}
-
-Json ServiceMetrics::Snapshot(const ProbeCacheStats* cache_stats) const {
-  Json out = Json::Obj();
-  out.Set("accepted", Json::Num(static_cast<double>(accepted())));
-  out.Set("rejected", Json::Num(static_cast<double>(rejected())));
-  out.Set("completed", Json::Num(static_cast<double>(completed())));
-  out.Set("failed", Json::Num(static_cast<double>(failed())));
-  out.Set("truncated", Json::Num(static_cast<double>(truncated())));
-  out.Set("in_flight", Json::Num(static_cast<double>(InFlight())));
-  out.Set("rejection_rate", Json::Num(RejectionRate()));
-  out.Set("latency", HistogramJson(latency_));
-  out.Set("queue_wait", HistogramJson(queue_wait_));
-  Json phases = Json::Obj();
-  phases.Set("base_set", HistogramJson(phase_base_set_));
-  phases.Set("relax", HistogramJson(phase_relax_));
-  phases.Set("rank", HistogramJson(phase_rank_));
-  out.Set("phases", std::move(phases));
-  // Per-depth counts; index = relaxation depth, last bucket = overflow.
-  Json depths = Json::Arr();
-  for (uint64_t n : RelaxDepthSnapshot()) {
-    depths.Push(Json::Num(static_cast<double>(n)));
-  }
-  out.Set("relax_depth_counts", std::move(depths));
-  const std::map<std::string, TenantCounters> tenants = TenantSnapshot();
-  if (!tenants.empty()) {
-    Json tenants_json = Json::Obj();
-    for (const auto& [name, counters] : tenants) {
-      Json t = Json::Obj();
-      t.Set("accepted", Json::Num(static_cast<double>(counters.accepted)));
-      t.Set("rejected", Json::Num(static_cast<double>(counters.rejected)));
-      t.Set("completed", Json::Num(static_cast<double>(counters.completed)));
-      t.Set("failed", Json::Num(static_cast<double>(counters.failed)));
-      tenants_json.Set(name, std::move(t));
-    }
-    out.Set("tenants", std::move(tenants_json));
-  }
-  if (cache_stats != nullptr) {
-    Json cache = Json::Obj();
-    cache.Set("lookups", Json::Num(static_cast<double>(cache_stats->lookups)));
-    cache.Set("hits", Json::Num(static_cast<double>(cache_stats->hits)));
-    cache.Set("misses", Json::Num(static_cast<double>(cache_stats->misses)));
-    cache.Set("coalesced",
-              Json::Num(static_cast<double>(cache_stats->coalesced)));
-    cache.Set("hit_rate", Json::Num(cache_stats->HitRate()));
-    out.Set("probe_cache", cache);
-  }
-  return out;
 }
 
 }  // namespace aimq

@@ -1,8 +1,10 @@
 // ServiceMetrics: live counters and latency distributions for the query
 // service. Everything on the hot path is an atomic or a LatencyHistogram
-// record — worker threads account without taking a lock. Snapshot() renders
-// the whole registry as one JSON object, which is what a STATS request
-// returns over the wire and what the throughput bench prints.
+// record — worker threads account without taking a lock. Nothing here
+// renders itself: EmitServiceMetrics (service/prometheus.h) reads the
+// accessors at scrape time into the service's obs::MetricsRegistry, which
+// answers `GET /metrics`, `GET /metrics.json` and the stats/metrics wire
+// ops.
 
 #ifndef AIMQ_SERVICE_METRICS_H_
 #define AIMQ_SERVICE_METRICS_H_
@@ -15,8 +17,6 @@
 #include <string>
 
 #include "util/histogram.h"
-#include "util/json.h"
-#include "webdb/probe_cache.h"
 
 namespace aimq {
 
@@ -28,7 +28,7 @@ struct TenantCounters {
   uint64_t failed = 0;
 };
 
-/// \brief Thread-safe metrics registry for one AimqService instance.
+/// \brief Thread-safe request accounting for one AimqService instance.
 class ServiceMetrics {
  public:
   ServiceMetrics() = default;
@@ -132,20 +132,6 @@ class ServiceMetrics {
   const LatencyHistogram& phase_base_set() const { return phase_base_set_; }
   const LatencyHistogram& phase_relax() const { return phase_relax_; }
   const LatencyHistogram& phase_rank() const { return phase_rank_; }
-
-  /// The full registry as a JSON object:
-  ///   {"accepted":..,"rejected":..,"completed":..,"failed":..,
-  ///    "truncated":..,"in_flight":..,"rejection_rate":..,
-  ///    "latency":{"count":..,"mean_ms":..,"p50_ms":..,"p95_ms":..,
-  ///               "p99_ms":..,"max_ms":..},
-  ///    "queue_wait":{...same shape...},
-  ///    "phases":{"base_set":{...},"relax":{...},"rank":{...}},
-  ///    "tenants":{"default":{"accepted":..,...},...},          (if any)
-  ///    "probe_cache":{"lookups":..,"hits":..,"coalesced":..,
-  ///                   "hit_rate":..}}                          (if given)
-  /// Concurrent updates may tear across counters (each is individually
-  /// consistent), which live monitoring accepts.
-  Json Snapshot(const ProbeCacheStats* cache_stats = nullptr) const;
 
  private:
   std::atomic<uint64_t> accepted_{0};

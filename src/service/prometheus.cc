@@ -37,38 +37,31 @@ void EmitServiceMetrics(const ServiceMetrics& metrics, Emitter* out) {
              metrics.RejectionRate());
   out->Histogram("aimq_request_latency_seconds",
                  "Submit-to-completion latency.",
-                 obs::FromLatencyHistogram(metrics.latency()));
+                 metrics.latency().Snapshot());
   out->Histogram("aimq_queue_wait_seconds",
                  "Time a request waited for a worker.",
-                 obs::FromLatencyHistogram(metrics.queue_wait()));
+                 metrics.queue_wait().Snapshot());
   out->Histogram("aimq_phase_base_set_seconds",
                  "Per-request base-set derivation time.",
-                 obs::FromLatencyHistogram(metrics.phase_base_set()));
+                 metrics.phase_base_set().Snapshot());
   out->Histogram("aimq_phase_relax_seconds",
                  "Per-request relaxation fan-out (probe) time.",
-                 obs::FromLatencyHistogram(metrics.phase_relax()));
+                 metrics.phase_relax().Snapshot());
   out->Histogram("aimq_phase_rank_seconds",
                  "Per-request similarity scoring/ranking time.",
-                 obs::FromLatencyHistogram(metrics.phase_rank()));
-  // Integer-bound histogram over the per-request deepest relaxation level.
-  // The overflow bucket renders under +Inf; its depths contribute to the
-  // sum at the overflow threshold (a lower bound, exact for every finite
-  // bucket).
+                 metrics.phase_rank().Snapshot());
+  // One counter per depth, as ServiceMetrics stores them; the last sample
+  // counts every request at or beyond the overflow depth.
   const auto depths = metrics.RelaxDepthSnapshot();
-  obs::HistogramData depth;
-  for (size_t d = 0; d + 1 < depths.size(); ++d) {
-    depth.bounds.push_back(static_cast<double>(d));
-    depth.counts.push_back(depths[d]);
-    depth.count += depths[d];
-    depth.sum += static_cast<double>(d) * static_cast<double>(depths[d]);
+  for (size_t d = 0; d < depths.size(); ++d) {
+    const std::string depth = d + 1 < depths.size()
+                                  ? std::to_string(d)
+                                  : std::to_string(d) + "+";
+    out->Counter("aimq_relax_depth_requests_total",
+                 "Requests by the deepest relaxation level they reached "
+                 "(attributes relaxed simultaneously in the deepest probe).",
+                 static_cast<double>(depths[d]), {{"depth", depth}});
   }
-  depth.count += depths.back();
-  depth.sum += static_cast<double>(depths.size() - 1) *
-               static_cast<double>(depths.back());
-  out->Histogram("aimq_relax_depth",
-                 "Deepest relaxation level a request reached (attributes "
-                 "relaxed simultaneously in its deepest probe).",
-                 std::move(depth));
 }
 
 void EmitProbeCache(const ProbeCacheStats& stats, Emitter* out) {
@@ -128,7 +121,7 @@ void EmitLiveIngest(const LiveIngestStats& live, Emitter* out) {
   out->Histogram("aimq_snapshot_publish_seconds",
                  "Wall-clock of each snapshot publish (incremental build + "
                  "atomic swap).",
-                 obs::FromHistogramSnapshot(live.publish_latency));
+                 live.publish_latency);
 }
 
 void EmitTenants(const std::map<std::string, TenantCounters>& tenants,
@@ -167,7 +160,9 @@ void EmitShards(const std::vector<ShardProbeSnapshot>& shards, Emitter* out) {
     out->Histogram("aimq_shard_probe_seconds",
                    "Scatter-leg latency of each row-range shard (cache hits "
                    "included).",
-                   obs::FromHistogramSnapshot(s.latency), labels);
+                   s.latency, labels);
+    out->Gauge("aimq_shard_rows", "Rows held by each row-range shard.",
+               static_cast<double>(s.end_row - s.begin_row), labels);
   }
 }
 
@@ -237,22 +232,6 @@ void EmitTraceRecorder(const TraceRecorder& trace, Emitter* out) {
   out->Gauge("aimq_trace_capacity",
              "Span capacity of the trace ring buffer.",
              static_cast<double>(trace.capacity()));
-}
-
-std::string PrometheusMetricsText(const ServiceMetrics& metrics,
-                                  const ProbeCacheStats* cache_stats,
-                                  const std::vector<ShardProbeSnapshot>*
-                                      shards) {
-  // A throwaway registry keeps the legacy entry point on the exact renderer
-  // the live service registry uses.
-  obs::MetricsRegistry registry;
-  registry.AddCollector([&](Emitter* out) {
-    EmitServiceMetrics(metrics, out);
-    if (cache_stats != nullptr) EmitProbeCache(*cache_stats, out);
-    EmitTenants(metrics.TenantSnapshot(), out);
-    if (shards != nullptr && !shards->empty()) EmitShards(*shards, out);
-  });
-  return registry.PrometheusText();
 }
 
 }  // namespace aimq

@@ -1,24 +1,20 @@
-// Prometheus text-format exposition (version 0.0.4) of the service metrics.
-//
-// Everything renders through obs::MetricsRegistry's single exposition path:
-// the Emit* helpers below adapt each subsystem's native stats struct into
-// registry families, and both the service's live registry collector
-// (AimqService wires them in at construction) and the legacy
-// PrometheusMetricsText() shim call the same helpers — one family
-// catalogue, one renderer, one escaping rule. Served by AimqServer on
-// `GET /metrics`, so a stock Prometheus scrape_config pointed at the wire
-// port just works:
+// The engine's metric-family catalogue: Emit* helpers that adapt each
+// subsystem's native stats struct into obs::MetricsRegistry families.
+// AimqService wires them into its registry's one pull collector at
+// construction, and the benches build throwaway registries from the same
+// helpers — one family catalogue, one renderer, one escaping rule. The
+// registry renders them as Prometheus text on `GET /metrics`, so a stock
+// Prometheus scrape_config pointed at the wire port just works:
 //
 //   aimq_requests_accepted_total 1042
 //   aimq_request_latency_seconds_bucket{le="0.004"} 963
 //   aimq_shard_probe_seconds_bucket{shard="3",le="0.004"} 241
 //   aimq_simd_kernel_calls_total{kernel="eq_mask"} 52110
 //
-// Histogram buckets are cumulative, as the format demands; the 96 internal
-// geometric buckets are coarsened to every 8th bound (rel. error <= ~6x one
-// bucket's 25%, still far finer than typical scrape dashboards need) plus
-// the mandatory +Inf bound. Label values are escaped (backslash, quote,
-// newline); NaN/Inf scalar values render as 0.
+// and as JSON (same names, same values) on `GET /metrics.json` and the
+// stats/metrics wire ops. Histogram families carry full LatencyHistogram
+// snapshots; the renderer coarsens them for the text form (see
+// obs::RenderPrometheusText).
 
 #ifndef AIMQ_SERVICE_PROMETHEUS_H_
 #define AIMQ_SERVICE_PROMETHEUS_H_
@@ -39,9 +35,10 @@
 
 namespace aimq {
 
-/// Request/latency/phase families plus the relaxation-depth histogram
+/// Request/latency/phase families plus the relaxation-depth counters
 /// (aimq_requests_*, aimq_request_latency_seconds, aimq_queue_wait_seconds,
-/// aimq_phase_*_seconds, aimq_relax_depth).
+/// aimq_phase_*_seconds, aimq_relax_depth_requests_total{depth="0".."15",
+/// "16+"}).
 void EmitServiceMetrics(const ServiceMetrics& metrics,
                         obs::MetricsRegistry::Emitter* out);
 
@@ -62,7 +59,8 @@ void EmitTenants(const std::map<std::string, TenantCounters>& tenants,
                  obs::MetricsRegistry::Emitter* out);
 
 /// Per-shard probe accounting as `{shard="N"}`-labelled families, including
-/// the scatter-leg latency histogram aimq_shard_probe_seconds.
+/// the scatter-leg latency histogram aimq_shard_probe_seconds and the
+/// shard's row count aimq_shard_rows.
 void EmitShards(const std::vector<ShardProbeSnapshot>& shards,
                 obs::MetricsRegistry::Emitter* out);
 
@@ -79,16 +77,6 @@ void EmitSimd(obs::MetricsRegistry::Emitter* out);
 /// Trace ring-buffer accounting: spans dropped to backpressure + capacity.
 void EmitTraceRecorder(const TraceRecorder& trace,
                        obs::MetricsRegistry::Emitter* out);
-
-/// One full scrape body, `\n`-terminated, rendered through a throwaway
-/// registry over the same Emit* helpers the live service registry uses.
-/// \p cache_stats may be null (the probe-cache families are then omitted);
-/// \p shards may be null or empty (the shard-labelled families are then
-/// omitted). Never emits NaN/Inf — rates with an empty denominator render
-/// as 0.
-std::string PrometheusMetricsText(
-    const ServiceMetrics& metrics, const ProbeCacheStats* cache_stats,
-    const std::vector<ShardProbeSnapshot>* shards = nullptr);
 
 }  // namespace aimq
 

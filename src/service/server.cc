@@ -177,18 +177,15 @@ std::string AimqServer::HandleLine(const std::string& line) {
       out.Set("pong", Json::Bool(true));
       return out.Dump();
     }
-    case WireRequest::Op::kStats: {
-      Json out = Json::Obj();
-      if (request.has_id) out.Set("id", Json::Num(request.id));
-      out.Set("ok", Json::Bool(true));
-      out.Set("stats", service_->StatsJson());
-      return out.Dump();
-    }
+    case WireRequest::Op::kStats:
     case WireRequest::Op::kMetrics: {
+      // Both ops answer the registry's JSON snapshot — the same families
+      // and values as `GET /metrics` — under their own response key.
       Json out = Json::Obj();
       if (request.has_id) out.Set("id", Json::Num(request.id));
       out.Set("ok", Json::Bool(true));
-      out.Set("metrics", service_->StatsJson());
+      out.Set(request.op == WireRequest::Op::kStats ? "stats" : "metrics",
+              service_->metrics_registry().JsonSnapshot());
       return out.Dump();
     }
     case WireRequest::Op::kIngest:
@@ -300,12 +297,12 @@ void AimqServer::ServeHttp(int fd, const std::string& request_line,
   std::string content_type = "text/plain; version=0.0.4; charset=utf-8";
   std::string body;
   if (path == "/metrics") {
-    // The unified registry: service, probe cache, tenants, shards, block
-    // stores, SIMD dispatch, and trace accounting through one collector.
+    // The registry: service, probe cache, tenants, shards, block stores,
+    // SIMD dispatch, and trace accounting through one collector.
     body = service_->metrics_registry().PrometheusText();
   } else if (path == "/metrics.json") {
     content_type = "application/json";
-    body = service_->StatsJson().Dump() + "\n";
+    body = service_->metrics_registry().JsonSnapshot().Dump() + "\n";
   } else if (path == "/trace") {
     if (service_->trace() == nullptr) {
       status_line = "HTTP/1.1 404 Not Found";

@@ -7,8 +7,10 @@
 // The same port also speaks just enough HTTP/1.1 for observability tooling:
 // a first line starting with "GET " (never valid JSON) switches the session
 // into one-shot HTTP mode. `GET /metrics` answers Prometheus text format
-// 0.0.4, `GET /metrics.json` the StatsJson() snapshot, `GET /trace` the
-// Chrome trace-event dump (404 while tracing is disabled). The response
+// 0.0.4, `GET /metrics.json` the same registry families as JSON
+// (obs::MetricsRegistry::JsonSnapshot, also the body of the stats/metrics
+// wire ops), `GET /trace` the Chrome trace-event dump (404 while tracing is
+// disabled). The response
 // carries Content-Length and Connection: close; the socket then closes.
 //
 // Stop() shuts the listening socket (unblocking accept), then shuts every

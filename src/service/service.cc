@@ -230,57 +230,6 @@ bool AimqService::running() const {
   return started_ && !stopping_;
 }
 
-Json AimqService::StatsJson() const {
-  const auto& cache = live_->probe_cache();
-  Json out = cache != nullptr
-                 ? [&] {
-                     const ProbeCacheStats stats = cache->stats();
-                     return metrics_.Snapshot(&stats);
-                   }()
-                 : metrics_.Snapshot();
-  {
-    const LiveIngestStats live = live_->Stats();
-    Json obj = Json::Obj();
-    obj.Set("snapshot_version",
-            Json::Num(static_cast<double>(live.snapshot_version)));
-    obj.Set("knowledge_version",
-            Json::Num(static_cast<double>(live.knowledge_version)));
-    obj.Set("rows_total", Json::Num(static_cast<double>(live.rows_total)));
-    obj.Set("ingested_rows_total",
-            Json::Num(static_cast<double>(live.ingested_rows_total)));
-    obj.Set("pending_rows",
-            Json::Num(static_cast<double>(live.pending_rows)));
-    obj.Set("knowledge_staleness_rows",
-            Json::Num(static_cast<double>(live.knowledge_staleness_rows)));
-    obj.Set("publishes_total",
-            Json::Num(static_cast<double>(live.publishes_total)));
-    obj.Set("refreshes_total",
-            Json::Num(static_cast<double>(live.refreshes_total)));
-    obj.Set("last_delta_rows",
-            Json::Num(static_cast<double>(live.last_delta_rows)));
-    out.Set("live", std::move(obj));
-  }
-  Json shards = Json::Arr();
-  for (const ShardProbeSnapshot& s : ShardStats()) {
-    Json shard = Json::Obj();
-    shard.Set("shard", Json::Num(static_cast<double>(s.shard)));
-    shard.Set("rows", Json::Num(static_cast<double>(s.end_row - s.begin_row)));
-    shard.Set("probes", Json::Num(static_cast<double>(s.queries_issued)));
-    shard.Set("tuples", Json::Num(static_cast<double>(s.tuples_returned)));
-    shard.Set("cache_hits", Json::Num(static_cast<double>(s.cache.hits)));
-    shard.Set("cache_lookups", Json::Num(static_cast<double>(s.cache.lookups)));
-    shards.Push(std::move(shard));
-  }
-  out.Set("shards", std::move(shards));
-  if (trace_ != nullptr) {
-    Json trace = Json::Obj();
-    trace.Set("dropped", Json::Num(static_cast<double>(trace_->dropped())));
-    trace.Set("capacity", Json::Num(static_cast<double>(trace_->capacity())));
-    out.Set("trace", std::move(trace));
-  }
-  return out;
-}
-
 Result<uint64_t> AimqService::Ingest(std::vector<Tuple> rows) {
   AIMQ_RETURN_NOT_OK(live_->Ingest(std::move(rows)));
   AIMQ_ASSIGN_OR_RETURN(const uint64_t version, live_->PublishSnapshot());

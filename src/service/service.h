@@ -249,18 +249,19 @@ class AimqService {
   Result<uint64_t> RefreshKnowledge();
 
   /// Live-ingest accounting (versions, row counts, staleness, publish
-  /// latency) — the `live` object of StatsJson() and the aimq_snapshot_* /
-  /// aimq_knowledge_* / aimq_ingest_* metric families.
+  /// latency) — the aimq_snapshot_* / aimq_knowledge_* / aimq_ingest_*
+  /// metric families.
   LiveIngestStats LiveStats() const { return live_->Stats(); }
 
   const ServiceOptions& service_options() const { return service_options_; }
   ServiceMetrics& metrics() { return metrics_; }
   const ServiceMetrics& metrics() const { return metrics_; }
 
-  /// The unified metric registry behind `GET /metrics`. A collector wired
-  /// in at construction pulls every subsystem — service counters, probe
-  /// cache, tenants (counters + live queue depth), shards, block stores,
-  /// SIMD dispatch, trace ring — so one PrometheusText() call renders the
+  /// The metric registry behind `GET /metrics` (PrometheusText()) and
+  /// `GET /metrics.json` plus the stats/metrics wire ops (JsonSnapshot()).
+  /// A collector wired in at construction pulls every subsystem — service
+  /// counters, probe cache, tenants (counters + live queue depth), shards,
+  /// block stores, SIMD dispatch, trace ring — so one call renders the
   /// whole engine.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
@@ -290,10 +291,6 @@ class AimqService {
   Status shard_build_status() const {
     return live_->Acquire()->shard_build_status;
   }
-
-  /// Live metrics + probe-cache stats as one JSON object (the STATS wire
-  /// response body).
-  Json StatsJson() const;
 
   /// The span recorder, or nullptr when ServiceOptions::enable_tracing was
   /// false. Owned by the service; shared read-only with the engine.

@@ -6,9 +6,12 @@
 //   {"op":"ping"}
 //     -> {"ok":true,"pong":true}
 //   {"op":"stats"}
-//     -> {"ok":true,"stats":{...ServiceMetrics snapshot...}}
+//     -> {"ok":true,"stats":{"aimq_requests_completed_total":12,...}}
 //   {"op":"metrics"}
-//     -> {"ok":true,"metrics":{...ServiceMetrics snapshot...}}
+//     -> {"ok":true,"metrics":{...same body...}}
+//        Both answer the metric registry's JSON snapshot: every family of
+//        `GET /metrics`, keyed by family name, with the same values
+//        (obs::MetricsRegistry::JsonSnapshot).
 //   {"op":"query","q":"Q(Model like 'Camry')","deadline_ms":500,"id":7,
 //    "request_id":42}
 //     -> {"id":7,"ok":true,"request_id":42,"truncated":false,

@@ -43,26 +43,21 @@ void LatencyHistogram::Record(double seconds) {
   }
 }
 
-double LatencyHistogram::Percentile(double q) const {
+double HistogramSnapshot::Percentile(double q) const {
+  if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const uint64_t total = count_.load(std::memory_order_relaxed);
-  if (total == 0) return 0.0;
+  // Rank of the answering observation, at least 1 so q=0 reports the first
+  // non-empty bucket (the minimum's bucket), not an empty leading one.
   const uint64_t target = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(total))));
+      1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(count))));
   uint64_t seen = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i].load(std::memory_order_relaxed);
+  for (size_t i = 0; i < bucket_counts.size(); ++i) {
+    seen += bucket_counts[i];
     if (seen >= target) {
-      // Clamp the coarse bucket bound by the exact observed extremes so
-      // single-value histograms report that value, not a bucket edge.
-      const double upper = BucketUpperBound(i);
-      const double max_s =
-          static_cast<double>(max_nanos_.load(std::memory_order_relaxed)) /
-          1e9;
-      return std::min(upper, max_s);
+      return std::min(LatencyHistogram::BucketUpperBound(i), max_seconds);
     }
   }
-  return static_cast<double>(max_nanos_.load(std::memory_order_relaxed)) / 1e9;
+  return max_seconds;
 }
 
 HistogramSnapshot LatencyHistogram::Snapshot() const {
@@ -80,39 +75,6 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
     snap.bucket_counts.push_back(b.load(std::memory_order_relaxed));
   }
   return snap;
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  const HistogramSnapshot snap = other.Snapshot();
-  if (snap.count == 0) return;
-  count_.fetch_add(snap.count, std::memory_order_relaxed);
-  sum_nanos_.fetch_add(static_cast<uint64_t>(snap.sum_seconds * 1e9),
-                       std::memory_order_relaxed);
-  for (size_t i = 0; i < kNumBuckets && i < snap.bucket_counts.size(); ++i) {
-    if (snap.bucket_counts[i] != 0) {
-      buckets_[i].fetch_add(snap.bucket_counts[i], std::memory_order_relaxed);
-    }
-  }
-  const uint64_t other_min = static_cast<uint64_t>(snap.min_seconds * 1e9);
-  uint64_t observed = min_nanos_.load(std::memory_order_relaxed);
-  while (other_min < observed &&
-         !min_nanos_.compare_exchange_weak(observed, other_min,
-                                           std::memory_order_relaxed)) {
-  }
-  const uint64_t other_max = static_cast<uint64_t>(snap.max_seconds * 1e9);
-  observed = max_nanos_.load(std::memory_order_relaxed);
-  while (other_max > observed &&
-         !max_nanos_.compare_exchange_weak(observed, other_max,
-                                           std::memory_order_relaxed)) {
-  }
-}
-
-void LatencyHistogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_nanos_.store(0, std::memory_order_relaxed);
-  min_nanos_.store(UINT64_MAX, std::memory_order_relaxed);
-  max_nanos_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace aimq

@@ -1,12 +1,15 @@
-// LatencyHistogram: lock-free latency accounting for the query service.
+// LatencyHistogram: lock-free latency accounting for the query service, and
+// the one histogram type behind every metrics export.
 //
 // Geometric buckets (×1.25 per bucket from 1µs) cover 1µs..~2000s in 96
 // buckets, bounding any percentile estimate's relative error at 25% — enough
 // to tell a 2ms p50 from a 200ms p99, which is what the serving metrics are
 // for. Record() touches only atomics, so every worker thread records without
-// coordination; Percentile()/Snapshot() are concurrent-safe reads with
-// torn-snapshot semantics (counts may lag each other by a few records, never
-// corrupt).
+// coordination; Snapshot() is a concurrent-safe read with torn-snapshot
+// semantics (counts may lag each other by a few records, never corrupt).
+// Percentiles are computed in one place, HistogramSnapshot::Percentile, over
+// all 96 buckets; the registry's JSON summaries and the benches use it, and
+// only the Prometheus renderer coarsens the buckets (to every 8th bound).
 
 #ifndef AIMQ_UTIL_HISTOGRAM_H_
 #define AIMQ_UTIL_HISTOGRAM_H_
@@ -29,6 +32,13 @@ struct HistogramSnapshot {
   double MeanSeconds() const {
     return count == 0 ? 0.0 : sum_seconds / static_cast<double>(count);
   }
+
+  /// Approximate value at quantile \p q in [0,1] (0.5 = median): the upper
+  /// bound of the bucket holding the target rank, clamped to the observed
+  /// max so a single-value histogram reports that value, not a bucket edge.
+  /// The max itself when the buckets hold fewer than the target rank (a torn
+  /// snapshot); 0 when empty.
+  double Percentile(double q) const;
 };
 
 /// \brief Thread-safe histogram of durations in seconds.
@@ -45,24 +55,11 @@ class LatencyHistogram {
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
-  /// Approximate value at quantile \p q in [0,1] (0.5 = median). Returns the
-  /// upper bound of the bucket holding the target rank; 0 when empty.
-  double Percentile(double q) const;
+  /// Snapshot().Percentile(q).
+  double Percentile(double q) const { return Snapshot().Percentile(q); }
 
   /// Copies the current state (concurrent Record()s may or may not be seen).
   HistogramSnapshot Snapshot() const;
-
-  /// Resets every counter to zero. Not atomic with respect to concurrent
-  /// Record() calls — quiesce writers first (used between bench phases).
-  void Reset();
-
-  /// Folds \p other's records into this histogram (counts, sum, extremes,
-  /// buckets). Lets each worker record into a private histogram and the
-  /// aggregator combine them afterwards, instead of every Record() hitting
-  /// one shared set of atomics. Tolerates concurrent Record() on either side
-  /// with the usual torn-snapshot semantics; merging a histogram into itself
-  /// is undefined.
-  void Merge(const LatencyHistogram& other);
 
   /// Upper bound in seconds of bucket \p i (shared with snapshot consumers).
   static double BucketUpperBound(size_t i);

@@ -1,7 +1,6 @@
-// MetricsRegistry tests: instrument registration and stability, collector
-// merge semantics, Prometheus rendering (HELP/TYPE grammar, label escaping,
-// cumulative buckets), JSON snapshots, and snapshot-under-concurrent-
-// increment safety.
+// MetricsRegistry tests: collector merge semantics, Prometheus rendering
+// (HELP/TYPE grammar, label escaping, cumulative buckets), JSON snapshots,
+// and snapshot-under-concurrent-increment safety.
 
 #include "obs/metrics_registry.h"
 
@@ -34,47 +33,25 @@ bool HasLine(const std::string& text, const std::string& exact) {
 
 TEST(MetricsRegistryTest, CounterRegistersAndRenders) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter* c =
-      registry.GetCounter("test_requests_total", "Requests seen.");
-  c->Inc();
-  c->Inc(41);
+  std::atomic<uint64_t> requests{0};
+  registry.AddCollector([&requests](MetricsRegistry::Emitter* out) {
+    out->Counter("test_requests_total", "Requests seen.",
+                 static_cast<double>(requests.load()));
+  });
+  requests += 1;
+  requests += 41;
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(text, "# HELP test_requests_total Requests seen."));
   EXPECT_TRUE(HasLine(text, "# TYPE test_requests_total counter"));
   EXPECT_TRUE(HasLine(text, "test_requests_total 42"));
 }
 
-TEST(MetricsRegistryTest, ReRegistrationReturnsTheSameInstrument) {
-  MetricsRegistry registry;
-  MetricsRegistry::Counter* a = registry.GetCounter("c_total", "help");
-  MetricsRegistry::Counter* b = registry.GetCounter("c_total", "other help");
-  EXPECT_EQ(a, b);
-  MetricsRegistry::Counter* labelled =
-      registry.GetCounter("c_total", "help", {{"k", "v"}});
-  EXPECT_NE(a, labelled);
-  EXPECT_EQ(labelled, registry.GetCounter("c_total", "help", {{"k", "v"}}));
-}
-
-TEST(MetricsRegistryTest, KindMismatchYieldsDetachedInstrument) {
-  MetricsRegistry registry;
-  registry.GetCounter("dual_total", "as counter")->Inc(7);
-  // Same name, different kind: the caller still gets a usable gauge, but it
-  // never renders (the family keeps its first kind).
-  MetricsRegistry::Gauge* g = registry.GetGauge("dual_total", "as gauge");
-  ASSERT_NE(g, nullptr);
-  g->Set(3.0);
-  const std::string text = registry.PrometheusText();
-  EXPECT_TRUE(HasLine(text, "# TYPE dual_total counter"));
-  EXPECT_TRUE(HasLine(text, "dual_total 7"));
-  EXPECT_FALSE(HasLine(text, "dual_total 3"));
-}
-
 TEST(MetricsRegistryTest, LabelValuesAreEscaped) {
   MetricsRegistry registry;
-  registry
-      .GetCounter("tenant_total", "by tenant",
-                  {{"tenant", "acme \"prod\"\\eu\nwest"}})
-      ->Inc();
+  registry.AddCollector([](MetricsRegistry::Emitter* out) {
+    out->Counter("tenant_total", "by tenant", 1.0,
+                 {{"tenant", "acme \"prod\"\\eu\nwest"}});
+  });
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(
       text, "tenant_total{tenant=\"acme \\\"prod\\\"\\\\eu\\nwest\"} 1"))
@@ -90,15 +67,19 @@ TEST(MetricsRegistryTest, EscapePrometheusLabelRules) {
 
 TEST(MetricsRegistryTest, HistogramRendersCumulativeBucketsEndingAtInf) {
   MetricsRegistry registry;
-  LatencyHistogram* h = registry.GetHistogram("lat_seconds", "latency");
-  h->Record(0.001);
-  h->Record(0.010);
-  h->Record(0.100);
+  LatencyHistogram h;
+  registry.AddCollector([&h](MetricsRegistry::Emitter* out) {
+    out->Histogram("lat_seconds", "latency", h.Snapshot());
+  });
+  h.Record(0.001);
+  h.Record(0.010);
+  h.Record(0.100);
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(text, "# TYPE lat_seconds histogram"));
   EXPECT_TRUE(HasLine(text, "lat_seconds_bucket{le=\"+Inf\"} 3"));
   EXPECT_TRUE(HasLine(text, "lat_seconds_count 3"));
-  // Bucket counts never decrease as le grows.
+  // Bucket counts never decrease as le grows; the text form keeps every 8th
+  // of the 96 geometric bounds.
   std::vector<double> buckets;
   for (const std::string& line : Lines(text)) {
     const std::string prefix = "lat_seconds_bucket{le=";
@@ -106,23 +87,25 @@ TEST(MetricsRegistryTest, HistogramRendersCumulativeBucketsEndingAtInf) {
       buckets.push_back(std::stod(line.substr(line.rfind(' ') + 1)));
     }
   }
-  ASSERT_GE(buckets.size(), 2u);
+  ASSERT_EQ(buckets.size(), LatencyHistogram::kNumBuckets / 8 + 1);
   for (size_t i = 1; i < buckets.size(); ++i) {
     EXPECT_GE(buckets[i], buckets[i - 1]);
   }
 }
 
 TEST(MetricsRegistryTest, CollectorFamiliesMergeWithFirstClassOnes) {
+  // Two collectors emitting the same family name: one family, first help.
   MetricsRegistry registry;
-  registry.GetCounter("shared_total", "first", {{"src", "instrument"}})
-      ->Inc(1);
   registry.AddCollector([](MetricsRegistry::Emitter* out) {
-    out->Counter("shared_total", "second", 2.0, {{"src", "collector"}});
+    out->Counter("shared_total", "first", 1.0, {{"src", "one"}});
+  });
+  registry.AddCollector([](MetricsRegistry::Emitter* out) {
+    out->Counter("shared_total", "second", 2.0, {{"src", "two"}});
     out->Gauge("pulled_gauge", "pulled", 5.0);
   });
   const std::string text = registry.PrometheusText();
-  EXPECT_TRUE(HasLine(text, "shared_total{src=\"instrument\"} 1"));
-  EXPECT_TRUE(HasLine(text, "shared_total{src=\"collector\"} 2"));
+  EXPECT_TRUE(HasLine(text, "shared_total{src=\"one\"} 1"));
+  EXPECT_TRUE(HasLine(text, "shared_total{src=\"two\"} 2"));
   EXPECT_TRUE(HasLine(text, "pulled_gauge 5"));
   // One HELP/TYPE pair for the merged family, with the first help text.
   size_t type_lines = 0;
@@ -135,9 +118,13 @@ TEST(MetricsRegistryTest, CollectorFamiliesMergeWithFirstClassOnes) {
 
 TEST(MetricsRegistryTest, EveryFamilyHasHelpAndTypeBeforeSamples) {
   MetricsRegistry registry;
-  registry.GetCounter("a_total", "a")->Inc();
-  registry.GetGauge("b_gauge", "b")->Set(1.5);
-  registry.GetHistogram("c_seconds", "c")->Record(0.01);
+  LatencyHistogram h;
+  h.Record(0.01);
+  registry.AddCollector([&h](MetricsRegistry::Emitter* out) {
+    out->Counter("a_total", "a", 1.0);
+    out->Gauge("b_gauge", "b", 1.5);
+    out->Histogram("c_seconds", "c", h.Snapshot());
+  });
   registry.AddCollector([](MetricsRegistry::Emitter* out) {
     out->Counter("d_total", "d", 4.0);
   });
@@ -163,18 +150,30 @@ TEST(MetricsRegistryTest, EveryFamilyHasHelpAndTypeBeforeSamples) {
 
 TEST(MetricsRegistryTest, NonFiniteGaugeRendersAsZero) {
   MetricsRegistry registry;
-  registry.GetGauge("rate", "a rate")->Set(0.0 / 0.0);
+  registry.AddCollector([](MetricsRegistry::Emitter* out) {
+    out->Gauge("rate", "a rate", 0.0 / 0.0);
+  });
   const std::string text = registry.PrometheusText();
   EXPECT_TRUE(HasLine(text, "rate 0"));
   EXPECT_EQ(text.find("nan"), std::string::npos);
+  // The JSON form applies the same rule: a number, not null.
+  const Json snap = registry.JsonSnapshot();
+  const Json* rate = snap.Find("rate");
+  ASSERT_NE(rate, nullptr);
+  ASSERT_TRUE(rate->is_number());
+  EXPECT_EQ(rate->AsNum(), 0.0);
 }
 
 TEST(MetricsRegistryTest, JsonSnapshotFlattensScalarsAndLabels) {
   MetricsRegistry registry;
-  registry.GetCounter("plain_total", "plain")->Inc(9);
-  registry.GetCounter("by_shard_total", "labelled", {{"shard", "0"}})->Inc(4);
-  registry.GetCounter("by_shard_total", "labelled", {{"shard", "1"}})->Inc(6);
-  registry.GetHistogram("lat_seconds", "latency")->Record(0.010);
+  LatencyHistogram h;
+  for (int i = 0; i < 100; ++i) h.Record(0.002);
+  registry.AddCollector([&h](MetricsRegistry::Emitter* out) {
+    out->Counter("plain_total", "plain", 9.0);
+    out->Counter("by_shard_total", "labelled", 4.0, {{"shard", "0"}});
+    out->Counter("by_shard_total", "labelled", 6.0, {{"shard", "1"}});
+    out->Histogram("lat_seconds", "latency", h.Snapshot());
+  });
   const Json snap = registry.JsonSnapshot();
   ASSERT_TRUE(snap.is_object());
   const Json* plain = snap.Find("plain_total");
@@ -182,24 +181,40 @@ TEST(MetricsRegistryTest, JsonSnapshotFlattensScalarsAndLabels) {
   EXPECT_DOUBLE_EQ(plain->AsNum(), 9.0);
   const Json* labelled = snap.Find("by_shard_total");
   ASSERT_NE(labelled, nullptr);
-  EXPECT_TRUE(labelled->is_array());
+  ASSERT_TRUE(labelled->is_array());
+  ASSERT_EQ(labelled->AsArr().size(), 2u);
+  EXPECT_EQ(*labelled->AsArr()[1].GetStr("shard"), "1");
+  EXPECT_DOUBLE_EQ(*labelled->AsArr()[1].GetNum("value"), 6.0);
   const Json* hist = snap.Find("lat_seconds");
   ASSERT_NE(hist, nullptr);
   ASSERT_TRUE(hist->is_object());
-  EXPECT_DOUBLE_EQ(hist->Find("count")->AsNum(), 1.0);
+  EXPECT_DOUBLE_EQ(hist->Find("count")->AsNum(), 100.0);
+  EXPECT_NEAR(hist->Find("sum")->AsNum(), 0.2, 1e-9);
+  // Percentiles use every bucket (clamped to the max), so 100 records at
+  // 2 ms read 2 ms — not a coarse exposition bound.
+  for (const char* q : {"p50", "p95", "p99", "max"}) {
+    ASSERT_NE(hist->Find(q), nullptr) << q;
+    EXPECT_DOUBLE_EQ(hist->Find(q)->AsNum(), h.Percentile(0.5)) << q;
+    EXPECT_NEAR(hist->Find(q)->AsNum(), 0.002, 1e-9) << q;
+  }
 }
 
 TEST(MetricsRegistryTest, SnapshotUnderConcurrentIncrementNeverTears) {
   MetricsRegistry registry;
-  MetricsRegistry::Counter* c = registry.GetCounter("busy_total", "hot");
-  LatencyHistogram* h = registry.GetHistogram("busy_seconds", "hot");
+  std::atomic<uint64_t> busy{0};
+  LatencyHistogram h;
+  registry.AddCollector([&](MetricsRegistry::Emitter* out) {
+    out->Counter("busy_total", "hot",
+                 static_cast<double>(busy.load(std::memory_order_relaxed)));
+    out->Histogram("busy_seconds", "hot", h.Snapshot());
+  });
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        c->Inc();
-        h->Record(0.001);
+        busy.fetch_add(1, std::memory_order_relaxed);
+        h.Record(0.001);
       }
     });
   }
@@ -217,40 +232,16 @@ TEST(MetricsRegistryTest, SnapshotUnderConcurrentIncrementNeverTears) {
         static_cast<uint64_t>(families[0].samples[0].value);
     EXPECT_GE(counter_now, last_count);
     last_count = counter_now;
-    const HistogramData& data = families[1].samples[0].histogram;
+    const HistogramSnapshot& data = families[1].samples[0].histogram;
     EXPECT_GE(data.count, last_hist_count);
     last_hist_count = data.count;
-    EXPECT_TRUE(data.sum >= 0.0);
+    EXPECT_TRUE(data.sum_seconds >= 0.0);
   }
   stop.store(true);
   for (std::thread& w : writers) w.join();
   const std::vector<FamilySnapshot> final_families = registry.Collect();
   EXPECT_EQ(static_cast<uint64_t>(final_families[0].samples[0].value),
-            c->Value());
-}
-
-TEST(HistogramDataTest, PercentileEdgeCases) {
-  HistogramData empty;
-  EXPECT_EQ(empty.Percentile(0.5), 0.0);
-
-  HistogramData single;
-  single.bounds = {1.0, 2.0, 4.0};
-  single.counts = {0, 1, 0};
-  single.count = 1;
-  single.sum = 1.5;
-  EXPECT_DOUBLE_EQ(single.Percentile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(single.Percentile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(single.Percentile(1.0), 2.0);
-
-  // Every observation beyond the last finite bound: percentiles can only
-  // report the largest bound (the +Inf bucket has no upper edge).
-  HistogramData overflow;
-  overflow.bounds = {1.0, 2.0};
-  overflow.counts = {0, 0};
-  overflow.count = 10;
-  overflow.sum = 100.0;
-  EXPECT_DOUBLE_EQ(overflow.Percentile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(overflow.Percentile(0.99), 2.0);
+            busy.load());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Prometheus text-exposition tests: family presence, zero-state sanity (no
-// NaN leaks), cumulative bucket semantics, and line grammar basics.
+// Prometheus text-exposition tests over the Emit* family catalogue: family
+// presence, zero-state sanity (no NaN leaks), cumulative bucket semantics,
+// and line grammar basics.
 
 #include "service/prometheus.h"
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics_registry.h"
 #include "service/metrics.h"
 #include "webdb/probe_cache.h"
 
@@ -44,9 +46,22 @@ std::vector<double> SampleValues(const std::string& text,
   return out;
 }
 
+// One scrape body from a registry whose collector runs the service, probe-
+// cache (when \p cache_stats is given) and tenant Emit* helpers.
+std::string ScrapeText(const ServiceMetrics& metrics,
+                       const ProbeCacheStats* cache_stats) {
+  obs::MetricsRegistry registry;
+  registry.AddCollector([&](obs::MetricsRegistry::Emitter* out) {
+    EmitServiceMetrics(metrics, out);
+    if (cache_stats != nullptr) EmitProbeCache(*cache_stats, out);
+    EmitTenants(metrics.TenantSnapshot(), out);
+  });
+  return registry.PrometheusText();
+}
+
 TEST(PrometheusTest, ZeroStateEmitsAllFamiliesWithoutNaN) {
   ServiceMetrics metrics;
-  const std::string text = PrometheusMetricsText(metrics, nullptr);
+  const std::string text = ScrapeText(metrics, nullptr);
   for (const char* family :
        {"aimq_requests_accepted_total", "aimq_requests_rejected_total",
         "aimq_requests_completed_total", "aimq_requests_failed_total",
@@ -70,7 +85,18 @@ TEST(PrometheusTest, CountersReflectMetricsState) {
   metrics.OnAccepted();
   metrics.OnRejected();
   metrics.OnCompleted(0.001, 0.010);
-  const std::string text = PrometheusMetricsText(metrics, nullptr);
+  metrics.OnRelaxDepth(2);
+  metrics.OnRelaxDepth(40);  // past the last depth: the overflow sample
+  const std::string text = ScrapeText(metrics, nullptr);
+  EXPECT_EQ(
+      SampleValues(text, "aimq_relax_depth_requests_total{depth=\"2\"}"),
+      std::vector<double>{1.0});
+  EXPECT_EQ(
+      SampleValues(text, "aimq_relax_depth_requests_total{depth=\"16+\"}"),
+      std::vector<double>{1.0});
+  EXPECT_EQ(
+      SampleValues(text, "aimq_relax_depth_requests_total{depth=\"15\"}"),
+      std::vector<double>{0.0});
   EXPECT_EQ(SampleValues(text, "aimq_requests_accepted_total"),
             std::vector<double>{2.0});
   EXPECT_EQ(SampleValues(text, "aimq_requests_rejected_total"),
@@ -87,7 +113,7 @@ TEST(PrometheusTest, HistogramBucketsAreCumulativeAndEndAtCount) {
   metrics.OnCompleted(0.0001, 0.001);
   metrics.OnCompleted(0.0001, 0.010);
   metrics.OnCompleted(0.0001, 0.100);
-  const std::string text = PrometheusMetricsText(metrics, nullptr);
+  const std::string text = ScrapeText(metrics, nullptr);
   // Bucket values never decrease as le grows.
   std::vector<double> buckets;
   for (const std::string& line : Lines(text)) {
@@ -118,7 +144,7 @@ TEST(PrometheusTest, ProbeCacheFamiliesWhenStatsGiven) {
   stats.hits = 7;
   stats.misses = 3;
   stats.evictions = 1;
-  const std::string text = PrometheusMetricsText(metrics, &stats);
+  const std::string text = ScrapeText(metrics, &stats);
   EXPECT_EQ(SampleValues(text, "aimq_probe_cache_lookups_total"),
             std::vector<double>{10.0});
   EXPECT_EQ(SampleValues(text, "aimq_probe_cache_hits_total"),
@@ -135,7 +161,7 @@ TEST(PrometheusTest, ProbeCacheFamiliesWhenStatsGiven) {
 TEST(PrometheusTest, ZeroLookupCacheEmitsZeroHitRate) {
   ServiceMetrics metrics;
   ProbeCacheStats stats;  // all zero
-  const std::string text = PrometheusMetricsText(metrics, &stats);
+  const std::string text = ScrapeText(metrics, &stats);
   EXPECT_EQ(SampleValues(text, "aimq_probe_cache_hit_rate"),
             std::vector<double>{0.0});
   EXPECT_EQ(text.find("nan"), std::string::npos);
@@ -144,7 +170,7 @@ TEST(PrometheusTest, ZeroLookupCacheEmitsZeroHitRate) {
 TEST(PrometheusTest, EveryFamilyHasHelpAndTypeBeforeSamples) {
   ServiceMetrics metrics;
   metrics.OnAccepted();
-  const std::string text = PrometheusMetricsText(metrics, nullptr);
+  const std::string text = ScrapeText(metrics, nullptr);
   // Grammar smoke: every non-comment line is `<name...> <value>`; every
   // family introduces itself with # HELP then # TYPE.
   std::string last_comment;
@@ -174,7 +200,7 @@ TEST(PrometheusTest, TenantLabelValuesAreEscaped) {
   ServiceMetrics metrics;
   metrics.OnTenantAccepted("acme \"prod\"\\eu\nwest");
   metrics.OnTenantCompleted("acme \"prod\"\\eu\nwest");
-  const std::string text = PrometheusMetricsText(metrics, nullptr);
+  const std::string text = ScrapeText(metrics, nullptr);
   EXPECT_TRUE(HasLinePrefix(
       text,
       "aimq_tenant_accepted_total"

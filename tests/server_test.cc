@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "datagen/cardb.h"
+#include "obs/metrics_registry.h"
 #include "service/wire.h"
 #include "util/socket.h"
 #include "util/stopwatch.h"
@@ -153,10 +157,10 @@ TEST_F(ServerTest, StatsReflectsServedQueries) {
   ASSERT_TRUE(ok.ok() && *ok) << r.Dump();
   const Json* stats = r.Find("stats");
   ASSERT_NE(stats, nullptr);
-  auto completed = stats->GetNum("completed");
+  auto completed = stats->GetNum("aimq_requests_completed_total");
   ASSERT_TRUE(completed.ok());
   EXPECT_GE(*completed, 1.0);
-  ASSERT_NE(stats->Find("latency"), nullptr);
+  ASSERT_NE(stats->Find("aimq_request_latency_seconds"), nullptr);
   CloseFd(fd);
 }
 
@@ -222,9 +226,10 @@ TEST_F(ServerTest, MetricsOpAnswersSnapshot) {
   EXPECT_DOUBLE_EQ(r.Find("id")->AsNum(), 5.0);
   const Json* metrics = r.Find("metrics");
   ASSERT_NE(metrics, nullptr);
-  EXPECT_GE(*metrics->GetNum("completed"), 1.0);
-  ASSERT_NE(metrics->Find("phases"), nullptr);
-  EXPECT_NE(metrics->Find("phases")->Find("relax"), nullptr);
+  EXPECT_GE(*metrics->GetNum("aimq_requests_completed_total"), 1.0);
+  const Json* relax = metrics->Find("aimq_phase_relax_seconds");
+  ASSERT_NE(relax, nullptr);
+  EXPECT_GE(*relax->GetNum("count"), 1.0);
   CloseFd(fd);
 }
 
@@ -266,7 +271,7 @@ TEST_F(ServerTest, HttpMetricsJsonAndUnknownPath) {
   // Body is the last line: one JSON document.
   auto parsed = Json::Parse(json_lines.back());
   ASSERT_TRUE(parsed.ok()) << json_lines.back();
-  EXPECT_NE(parsed->Find("accepted"), nullptr);
+  EXPECT_NE(parsed->Find("aimq_requests_accepted_total"), nullptr);
 
   const auto missing = HttpGet(server_->port(), "/nope");
   ASSERT_FALSE(missing.empty());
@@ -317,6 +322,159 @@ TEST_F(ServerTest, HttpTraceServesChromeJsonWhenTracingEnabled) {
   const Json* events = parsed->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   EXPECT_FALSE(events->AsArr().empty());
+
+  server.Stop();
+  service.Stop();
+}
+
+// One metrics path: every sample of `GET /metrics` appears in
+// `GET /metrics.json` (and in the stats/metrics wire ops) with the same
+// value — on a 4-shard packed service with two tenants that has served
+// queries and published one ingest.
+TEST_F(ServerTest, MetricsJsonMatchesPrometheusTextSampleForSample) {
+  AimqOptions options;
+  options.collector.sample_size = 300;
+  options.tsim = 0.4;
+  options.top_k = 5;
+  options.num_threads = 2;
+  auto knowledge = BuildKnowledge(*db_, options);
+  ASSERT_TRUE(knowledge.ok());
+  ServiceOptions sopts;
+  sopts.num_workers = 2;
+  sopts.num_shards = 4;
+  sopts.packed_shards = true;
+  AimqService service(db_, knowledge.TakeValue(), options, sopts);
+  ASSERT_TRUE(service.shard_build_status().ok());
+  ASSERT_EQ(service.num_shards(), 4u);
+  ASSERT_TRUE(service.Start().ok());
+  AimqServer server(&service, /*port=*/0);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto fd = TcpConnect("localhost", server.port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  LineReader reader(*fd);
+  for (const char* line :
+       {R"js({"op":"query","q":"Q(Model like 'Camry')","tenant":"acme"})js",
+        R"js({"op":"query","q":"Q(Model like 'Civic')","tenant":"beta"})js",
+        R"js({"op":"query","q":"Q(Model like 'Camry')","tenant":"beta"})js"}) {
+    const Json r = RoundTrip(*fd, &reader, line);
+    ASSERT_TRUE(r.GetBool("ok").ok() && *r.GetBool("ok")) << r.Dump();
+  }
+  const Json ingested = RoundTrip(
+      *fd, &reader,
+      R"js({"op":"ingest","rows":[{"Make":"Toyota","Model":"Camry"}]})js");
+  ASSERT_TRUE(ingested.GetBool("ok").ok() && *ingested.GetBool("ok"))
+      << ingested.Dump();
+  const Json stats_op = RoundTrip(*fd, &reader, R"js({"op":"stats"})js");
+  const Json metrics_op = RoundTrip(*fd, &reader, R"js({"op":"metrics"})js");
+  CloseFd(*fd);
+
+  const auto text = HttpGet(server.port(), "/metrics");
+  const auto json_lines = HttpGet(server.port(), "/metrics.json");
+  ASSERT_FALSE(text.empty());
+  ASSERT_FALSE(json_lines.empty());
+  auto parsed = Json::Parse(json_lines.back());
+  ASSERT_TRUE(parsed.ok()) << json_lines.back();
+  const Json& snap = *parsed;
+  // The service is idle, so both wire ops answer the same document.
+  ASSERT_NE(stats_op.Find("stats"), nullptr);
+  ASSERT_NE(metrics_op.Find("metrics"), nullptr);
+  EXPECT_EQ(stats_op.Find("stats")->Dump(), snap.Dump());
+  EXPECT_EQ(metrics_op.Find("metrics")->Dump(), snap.Dump());
+
+  // Finds the JSON value of one text sample: the family's number, its
+  // histogram summary field, or the labelled array entry whose labels match.
+  const auto lookup = [&snap](const std::string& family,
+                              const obs::MetricLabels& labels,
+                              const std::string& field) -> const Json* {
+    const Json* value = snap.Find(family);
+    if (value == nullptr) return nullptr;
+    if (value->is_array()) {
+      const Json* match = nullptr;
+      for (const Json& entry : value->AsArr()) {
+        bool same = true;
+        for (const auto& [k, v] : labels) {
+          auto got = entry.GetStr(k);
+          same = same && got.ok() && *got == v;
+        }
+        if (same) match = &entry;
+      }
+      value = match;
+    } else if (!labels.empty()) {
+      return nullptr;
+    }
+    if (value == nullptr || field.empty()) return value;
+    return value->Find(field);
+  };
+
+  std::set<std::string> histograms;
+  std::set<std::string> families;
+  size_t checked = 0;
+  for (const std::string& line : text) {
+    const std::string type = "# TYPE ";
+    if (line.compare(0, type.size(), type) == 0) {
+      const std::string rest = line.substr(type.size());
+      const std::string name = rest.substr(0, rest.find(' '));
+      families.insert(name);
+      if (rest.substr(rest.find(' ') + 1) == "histogram") {
+        histograms.insert(name);
+      }
+      continue;
+    }
+    if (line.empty() || line[0] == '#' || line.rfind("aimq_", 0) != 0) {
+      continue;  // HTTP headers, HELP lines
+    }
+    // name{k="v",...} value
+    const size_t space = line.rfind(' ');
+    std::string name = line.substr(0, std::min(line.find('{'), space));
+    obs::MetricLabels labels;
+    if (const size_t brace = line.find('{'); brace < space) {
+      const std::string body =
+          line.substr(brace + 1, line.find('}') - brace - 1);
+      size_t pos = 0;
+      while (pos < body.size()) {
+        const size_t eq = body.find("=\"", pos);
+        const size_t close = body.find('"', eq + 2);
+        labels.emplace_back(body.substr(pos, eq - pos),
+                            body.substr(eq + 2, close - eq - 2));
+        pos = close + 2;  // past `",`
+      }
+    }
+    const double want = std::stod(line.substr(space + 1));
+    std::string field;
+    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+      const std::string sfx = suffix;
+      if (name.size() > sfx.size() &&
+          name.compare(name.size() - sfx.size(), sfx.size(), sfx) == 0 &&
+          histograms.count(name.substr(0, name.size() - sfx.size())) != 0) {
+        name.resize(name.size() - sfx.size());
+        field = sfx.substr(1);
+      }
+    }
+    if (field == "bucket") continue;  // the JSON form summarizes buckets
+    if (field.empty() && !labels.empty()) field = "value";
+    const Json* got = lookup(name, labels, field);
+    ASSERT_NE(got, nullptr) << "no JSON sample for: " << line;
+    ASSERT_TRUE(got->is_number()) << line;
+    EXPECT_NEAR(got->AsNum(), want, 1e-9 * std::max(1.0, std::fabs(want)))
+        << line;
+    ++checked;
+  }
+  EXPECT_GT(checked, 100u);
+  // Nothing extra on the JSON side: one key per text family.
+  EXPECT_EQ(snap.AsObj().size(), families.size());
+  for (const char* family :
+       {"aimq_shard_rows", "aimq_relax_depth_requests_total",
+        "aimq_tenant_completed_total", "aimq_snapshot_publishes_total",
+        "aimq_block_cache_misses_total"}) {
+    EXPECT_EQ(families.count(family), 1u) << family;
+  }
+
+  // JSON percentiles use every bucket: the p50 is the histogram's own.
+  const Json* p50 = lookup("aimq_request_latency_seconds", {}, "p50");
+  ASSERT_NE(p50, nullptr);
+  EXPECT_DOUBLE_EQ(p50->AsNum(),
+                   service.metrics().latency().Snapshot().Percentile(0.5));
 
   server.Stop();
   service.Stop();

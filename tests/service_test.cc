@@ -274,7 +274,7 @@ TEST_F(ServiceTest, DrainWaitsForInFlightWork) {
   service->Stop();
 }
 
-TEST_F(ServiceTest, StatsJsonReportsCountersAndCacheHitRate) {
+TEST_F(ServiceTest, RegistryJsonReportsCountersAndCacheHitRate) {
   ServiceOptions sopts;
   sopts.num_workers = 2;
   sopts.queue_depth = 16;
@@ -282,18 +282,19 @@ TEST_F(ServiceTest, StatsJsonReportsCountersAndCacheHitRate) {
   ASSERT_TRUE(service->Execute(ModelQuery("Camry")).ok());
   ASSERT_TRUE(service->Execute(ModelQuery("Camry")).ok());
 
-  const Json stats = service->StatsJson();
-  auto completed = stats.GetNum("completed");
+  // The registry JSON: what the stats op and GET /metrics.json answer.
+  const Json stats = service->metrics_registry().JsonSnapshot();
+  auto completed = stats.GetNum("aimq_requests_completed_total");
   ASSERT_TRUE(completed.ok());
   EXPECT_DOUBLE_EQ(*completed, 2.0);
-  const Json* latency = stats.Find("latency");
+  const Json* latency = stats.Find("aimq_request_latency_seconds");
   ASSERT_NE(latency, nullptr);
-  EXPECT_TRUE(latency->GetNum("p99_ms").ok());
-  const Json* cache = stats.Find("probe_cache");
-  ASSERT_NE(cache, nullptr);  // engine options enable the probe cache
-  // Identical back-to-back queries hit the shared probe cache (or the
-  // engine's answer path dedup) — the hit-rate field must be well-formed.
-  auto hit_rate = cache->GetNum("hit_rate");
+  EXPECT_DOUBLE_EQ(*latency->GetNum("count"), 2.0);
+  EXPECT_TRUE(latency->GetNum("p99").ok());
+  // The engine options enable the probe cache. Identical back-to-back
+  // queries hit it (or the engine's answer path dedup) — the hit-rate
+  // family must be well-formed.
+  auto hit_rate = stats.GetNum("aimq_probe_cache_hit_rate");
   ASSERT_TRUE(hit_rate.ok());
   EXPECT_GE(*hit_rate, 0.0);
   EXPECT_LE(*hit_rate, 1.0);

@@ -2,7 +2,7 @@
 // answers bit-identically to the unsharded engine, per-tenant quotas reject
 // deterministically, stride scheduling drains tenants by weight in a
 // deterministic total order, and the shard/tenant-labelled metric families
-// surface in both StatsJson and the Prometheus exposition text.
+// surface in both the registry's JSON snapshot and its Prometheus text.
 
 #include "service/service.h"
 
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "datagen/cardb.h"
-#include "service/prometheus.h"
 
 namespace aimq {
 namespace {
@@ -143,7 +142,7 @@ TEST_F(ShardedServiceTest, ShardedServiceMatchesUnshardedEngine) {
   service.Stop();
 }
 
-TEST_F(ShardedServiceTest, StatsJsonReportsShardAndCoalescingCounters) {
+TEST_F(ShardedServiceTest, RegistryJsonReportsShardAndCoalescingCounters) {
   ServiceOptions sopts;
   sopts.num_workers = 2;
   sopts.num_shards = 3;
@@ -153,10 +152,22 @@ TEST_F(ShardedServiceTest, StatsJsonReportsShardAndCoalescingCounters) {
   service.Stop();
 
   ASSERT_EQ(service.ShardStats().size(), 3u);
-  const std::string stats = service.StatsJson().Dump();
-  EXPECT_NE(stats.find("\"shards\""), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"coalesced\""), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"tenants\""), std::string::npos) << stats;
+  const Json stats = service.metrics_registry().JsonSnapshot();
+  const Json* rows = stats.Find("aimq_shard_rows");
+  ASSERT_NE(rows, nullptr) << stats.Dump();
+  ASSERT_TRUE(rows->is_array());
+  ASSERT_EQ(rows->AsArr().size(), 3u);
+  double total_rows = 0.0;
+  for (const Json& shard : rows->AsArr()) total_rows += *shard.GetNum("value");
+  EXPECT_DOUBLE_EQ(total_rows, static_cast<double>(data_->NumTuples()));
+  const Json* probes = stats.Find("aimq_shard_probes_total");
+  ASSERT_NE(probes, nullptr) << stats.Dump();
+  ASSERT_EQ(probes->AsArr().size(), 3u);
+  EXPECT_EQ(*probes->AsArr()[2].GetStr("shard"), "2");
+  EXPECT_NE(stats.Find("aimq_probe_cache_coalesced_total"), nullptr)
+      << stats.Dump();
+  EXPECT_NE(stats.Find("aimq_tenant_completed_total"), nullptr)
+      << stats.Dump();
 }
 
 TEST_F(ShardedServiceTest, PrometheusTextExposesShardAndTenantFamilies) {
@@ -168,10 +179,7 @@ TEST_F(ShardedServiceTest, PrometheusTextExposesShardAndTenantFamilies) {
   ASSERT_TRUE(service.Execute(ModelQuery("Camry"), 0, 0, "acme").ok());
   service.Stop();
 
-  const std::vector<ShardProbeSnapshot> shards = service.ShardStats();
-  const ProbeCacheStats cache = service.probe_cache()->stats();
-  const std::string text =
-      PrometheusMetricsText(service.metrics(), &cache, &shards);
+  const std::string text = service.metrics_registry().PrometheusText();
   EXPECT_NE(text.find("aimq_shard_probes_total{shard=\"0\"}"),
             std::string::npos)
       << text;
