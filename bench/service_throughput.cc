@@ -213,10 +213,6 @@ ReplayResult RunReplay(
   sopts.num_shards = num_shards;
   sopts.packed_shards = flags.packed_shards;
   AimqService service(&db, knowledge, options, sopts);
-  if (!service.shard_build_status().ok()) {
-    std::fprintf(stderr, "shard build failed, serving one shard: %s\n",
-                 service.shard_build_status().ToString().c_str());
-  }
   Status st = service.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "start failed: %s\n", st.ToString().c_str());

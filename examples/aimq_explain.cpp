@@ -173,10 +173,6 @@ int main(int argc, char** argv) {
   sopts.num_shards = num_shards;
   sopts.packed_shards = packed_shards;
   AimqService service(&db, knowledge.TakeValue(), options, sopts);
-  if (!service.shard_build_status().ok()) {
-    std::fprintf(stderr, "shard build failed, serving one shard: %s\n",
-                 service.shard_build_status().ToString().c_str());
-  }
   Status st = service.Start();
   if (!st.ok()) return Fail(st);
 

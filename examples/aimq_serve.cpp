@@ -226,10 +226,6 @@ int main(int argc, char** argv) {
   sopts.ingest_trigger_rows = flags.ingest_trigger_rows;
   sopts.ingest_trigger_seconds = flags.ingest_trigger_seconds;
   AimqService service(&db, knowledge.TakeValue(), options, sopts);
-  if (!service.shard_build_status().ok()) {
-    std::fprintf(stderr, "shard build failed, serving one shard: %s\n",
-                 service.shard_build_status().ToString().c_str());
-  }
   if (service.num_shards() > 1) {
     std::fprintf(stderr, "serving from %zu row-range shards%s\n",
                  service.num_shards(),

@@ -13,8 +13,6 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
   live->name_ = initial_source->name();
   live->schema_ = initial_source->schema();
   live->options_ = std::move(options);
-  live->packed_serving_ = initial_source->columnar()->packed();
-  live->truth_ = initial_source->columnar();
   if (live->options_.engine.probe_cache_capacity > 0) {
     live->cache_ = std::make_shared<ProbeCache>(
         live->options_.engine.probe_cache_capacity);
@@ -22,14 +20,14 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
   }
 
   auto v0 = std::make_shared<ServingVersion>();
-  v0->snapshot_version = live->truth_->snapshot_version();
-  v0->num_rows = live->truth_->NumRows();
+  v0->snapshot_version = initial_source->columnar()->snapshot_version();
+  v0->num_rows = initial_source->NumTuples();
   // The initial source stays externally owned: alias it through a no-op
   // deleter so the version layout is uniform without transferring
   // ownership (and with zero behavior change when ingest is never used).
   v0->source = std::shared_ptr<const WebDatabase>(initial_source,
                                                   [](const WebDatabase*) {});
-  v0->facade = live->BuildFacade(v0->source, &v0->shard_build_status);
+  AIMQ_ASSIGN_OR_RETURN(v0->facade, live->BuildFacade(v0->source, nullptr));
   v0->knowledge = std::make_shared<const KnowledgeVersion>(KnowledgeVersion{
       /*version=*/1, v0->snapshot_version, v0->num_rows,
       std::move(knowledge)});
@@ -39,20 +37,12 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Create(
   return live;
 }
 
-std::shared_ptr<ShardedWebDatabase> LiveEngine::BuildFacade(
-    std::shared_ptr<const WebDatabase> source, Status* status) const {
-  Result<std::unique_ptr<ShardedWebDatabase>> built =
-      ShardedWebDatabase::Create(source, options_.shards);
-  if (!built.ok()) {
-    // Only a packed shard build can fail (block-store / spill setup). Serve
-    // the one-shard plan, which cannot fail, and surface why rather than
-    // refuse to start or publish.
-    *status = built.status();
-    ShardedEngineOptions one_shard = options_.shards;
-    one_shard.num_shards = 1;
-    built = ShardedWebDatabase::Create(std::move(source), one_shard);
-  }
-  std::shared_ptr<ShardedWebDatabase> facade = std::move(*built);
+Result<std::shared_ptr<ShardedWebDatabase>> LiveEngine::BuildFacade(
+    std::shared_ptr<const WebDatabase> source,
+    const ShardedWebDatabase* prev) const {
+  AIMQ_ASSIGN_OR_RETURN(
+      std::shared_ptr<ShardedWebDatabase> facade,
+      ShardedWebDatabase::Create(std::move(source), options_.shards, prev));
   if (trace_ != nullptr) facade->SetTraceRecorder(trace_);
   return facade;
 }
@@ -104,76 +94,40 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
   const std::shared_ptr<const ServingVersion> cur = Acquire();
   const uint64_t new_version = cur->snapshot_version + 1;
 
-  // Packed serving re-encodes the extended rows into a packed snapshot
-  // (bit-identical codes: ColumnarBuilder interns in the same row-major
-  // order) that continues the previous serving snapshot's lineage, so
-  // probe-cache entries carry over. The builder claims that lineage before
-  // the truth snapshot's Extend can: at the first publish of a packed
-  // source the two bases are one snapshot.
-  std::unique_ptr<ColumnarBuilder> builder;
-  if (packed_serving_) {
-    ColumnarBuilder::Options bopts;
-    bopts.store = options_.shards.store;
-    bopts.snapshot_version = new_version;
-    bopts.lineage_base = cur->source->columnar().get();
-    Result<std::unique_ptr<ColumnarBuilder>> created =
-        ColumnarBuilder::Create(schema_, std::move(bopts));
-    if (!created.ok()) {
-      restore();
-      return created.status();
-    }
-    builder = std::move(*created);
-  }
-
+  // The serving snapshot extends the previous one in its own storage form
+  // and continues its lineage, so probe-cache entries carry over.
   Result<std::shared_ptr<const ColumnarRelation>> extended =
-      ColumnarRelation::Extend(*truth_, delta, new_version);
+      ColumnarRelation::Extend(*cur->source->columnar(), delta, new_version);
   if (!extended.ok()) {
     restore();
     return extended.status();
   }
-  std::shared_ptr<const ColumnarRelation> truth = std::move(*extended);
+  auto src = std::make_shared<WebDatabase>(name_, std::move(*extended));
+  // A version keeps posting lists iff its predecessor had them: extend the
+  // previous version's lists with the delta rows only.
+  src->ExtendPostingLists(*cur->source);
 
-  // The serving snapshot: the truth snapshot itself, or its packed
-  // re-encode.
-  std::shared_ptr<const ColumnarRelation> serving = truth;
-  if (builder != nullptr) {
-    for (size_t row = 0; row < truth->NumRows(); ++row) {
-      Status s = builder->AppendRow(truth->MaterializeTuple(row));
-      if (!s.ok()) {
-        restore();
-        return s;
-      }
-    }
-    Result<std::shared_ptr<const ColumnarRelation>> packed = builder->Finish();
-    if (!packed.ok()) {
-      restore();
-      return packed.status();
-    }
-    serving = std::move(*packed);
-  }
-
-  auto src = std::make_shared<WebDatabase>(name_, serving);
-  if (!packed_serving_) {
-    // Plain serving keeps index-assisted probes: extend the previous
-    // version's posting lists with the delta rows only.
-    src->ExtendPostingLists(*cur->source);
+  // Re-plan row ranges over the grown relation and swap the shard set
+  // generation-at-a-time: the old facade keeps serving its version's
+  // queries until the last one drains, and the new one takes over its
+  // per-shard accounting.
+  Result<std::shared_ptr<ShardedWebDatabase>> facade =
+      BuildFacade(src, cur->facade.get());
+  if (!facade.ok()) {
+    restore();
+    return facade.status();
   }
 
   auto next = std::make_shared<ServingVersion>();
   next->snapshot_version = new_version;
   next->knowledge_version = cur->knowledge->version;
-  next->num_rows = truth->NumRows();
+  next->num_rows = src->NumTuples();
   next->delta_rows = delta.size();
-  next->snapshot = truth;
-  next->source = src;
-  // Re-plan row ranges over the grown relation and swap the shard set
-  // generation-at-a-time: the old facade keeps serving its version's
-  // queries until the last one drains.
-  next->facade = BuildFacade(src, &next->shard_build_status);
+  next->source = std::move(src);
+  next->facade = std::move(*facade);
   next->knowledge = cur->knowledge;
   next->engine = BuildEngine(next->facade.get(), *next->knowledge);
 
-  truth_ = std::move(truth);
   Install(std::move(next));
   publishes_total_.fetch_add(1, std::memory_order_relaxed);
   publish_latency_.Record(timer.ElapsedSeconds());
@@ -196,11 +150,9 @@ Result<uint64_t> LiveEngine::RefreshKnowledge() {
   next->knowledge_version = new_kv;
   next->num_rows = cur->num_rows;
   next->delta_rows = 0;
-  next->snapshot = cur->snapshot;
   next->source = cur->source;
   next->facade = cur->facade;
   next->knowledge = std::move(kv);
-  next->shard_build_status = cur->shard_build_status;
   next->engine = BuildEngine(next->facade.get(), *next->knowledge);
 
   Install(std::move(next));

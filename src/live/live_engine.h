@@ -1,7 +1,7 @@
 // LiveEngine: RCU-style versioned serving over a growing source.
 //
-// Everything a query touches — the columnar snapshot, the serving
-// WebDatabase, the shard facade, the mined knowledge, and the AimqEngine
+// Everything a query touches — the serving WebDatabase and its columnar
+// snapshot, the shard facade, the mined knowledge, and the AimqEngine
 // itself — is bundled into one immutable ServingVersion. Queries capture the
 // current version once at admission (a shared_ptr copy under a mutex that
 // is held for nothing else) and use it end-to-end; ingest and knowledge
@@ -15,17 +15,19 @@
 // Every version's engine probes through the version's shard facade, whose
 // plan is re-cut from the version's source on each publish; unsharded is
 // the one-shard plan, whose shard is the source itself (DESIGN.md §5h).
+// Each facade takes over its predecessor's per-shard accounting, so the
+// shard metrics are cumulative across versions.
 //
-// Snapshot production is incremental (ColumnarRelation::Extend): only the
-// delta rows are interned and hashed into the canonical-row index the
-// previous version hands over, and posting lists extend the previous
-// version's lists (WebDatabase::ExtendPostingLists). The columns, posting
-// lists and knowledge are still copied per publish. Every version's
-// snapshot continues one lineage (the packed serving re-encode continues
-// the previous serving snapshot's), so the probe cache, *shared* across
-// versions, carries its entries forward: a publish evicts nothing, and an
-// entry cached at an older version is extended over the new rows on its
-// next lookup (ProbeCache).
+// One snapshot per version: a publish extends the previous version's
+// serving snapshot (ColumnarRelation::Extend) in its own storage form —
+// plain stays plain, packed stays packed — interning only the delta rows.
+// A version keeps posting lists iff its predecessor had them, extending
+// them over the delta rows (WebDatabase::ExtendPostingLists). The columns
+// (re-packed per block when packed), posting lists and knowledge are still
+// copied per publish. Every version's snapshot continues one lineage, so
+// the probe cache, *shared* across versions, carries its entries forward:
+// a publish evicts nothing, and an entry cached at an older version is
+// extended over the new rows on its next lookup (ProbeCache).
 
 #ifndef AIMQ_LIVE_LIVE_ENGINE_H_
 #define AIMQ_LIVE_LIVE_ENGINE_H_
@@ -55,8 +57,8 @@ struct LiveOptions {
   AimqOptions engine;
   /// Shard layer configuration, re-applied on every snapshot publish (the
   /// facade re-plans its row ranges over the grown relation). Whether the
-  /// serving snapshot is packed is inherited from the initial source's
-  /// snapshot, not from shards.packed_shards.
+  /// serving snapshot is packed is the initial source's snapshot's form,
+  /// not shards.packed_shards.
   ShardedEngineOptions shards;
 };
 
@@ -76,25 +78,20 @@ struct ServingVersion {
   /// version and for knowledge-only refreshes).
   uint64_t delta_rows = 0;
 
-  /// The plain "truth" snapshot of all rows at this version (null for the
-  /// initial version, whose rows are the external source's).
-  std::shared_ptr<const ColumnarRelation> snapshot;
-  /// The serving source over this version's rows: what the facade's shards
-  /// are cut from (in a one-shard plan, the shard itself), what the next
-  /// publish extends, and what knowledge refresh mines against. For the
-  /// initial version this aliases the externally owned source.
+  /// The serving source over this version's rows: its columnar() is the
+  /// version's one snapshot. It is what the facade's shards are cut from
+  /// (in a one-shard plan, the shard itself), what the next publish
+  /// extends, and what knowledge refresh mines against. For the initial
+  /// version this aliases the externally owned source.
   std::shared_ptr<const WebDatabase> source;
   /// The scatter/gather facade the engine probes through and ranks with
-  /// (never null; one shard when unsharded or degraded).
+  /// (never null; one shard when unsharded).
   std::shared_ptr<ShardedWebDatabase> facade;
   std::shared_ptr<const KnowledgeVersion> knowledge;
   /// The engine queries admitted at this version run on. unique_ptr's
   /// shallow constness keeps Answer() callable through a const
   /// ServingVersion.
   std::unique_ptr<AimqEngine> engine;
-  /// OK, or why this version's configured shard plan failed to build and
-  /// it fell back to the one-shard plan.
-  Status shard_build_status = Status::OK();
 };
 
 /// Point-in-time accounting of the live stack (metrics/stats surfaces).
@@ -128,8 +125,8 @@ class LiveEngine {
  public:
   /// Builds the initial version over \p initial_source (not owned; must
   /// outlive the LiveEngine — later versions own their sources). \p
-  /// knowledge is the initially mined edition (version 1). Packed serving
-  /// mode is inherited from initial_source->columnar()->packed().
+  /// knowledge is the initially mined edition (version 1). Every version's
+  /// snapshot keeps initial_source->columnar()'s storage form.
   static Result<std::unique_ptr<LiveEngine>> Create(
       const WebDatabase* initial_source, MinedKnowledge knowledge,
       LiveOptions options);
@@ -151,7 +148,7 @@ class LiveEngine {
   Status Ingest(std::vector<Tuple> rows);
 
   /// Publishes a new snapshot version containing every buffered row:
-  /// extends the truth snapshot incrementally, rebuilds the serving stack
+  /// extends the serving snapshot incrementally, rebuilds the serving stack
   /// (source, postings, facade with re-planned ranges, engine) and swaps it
   /// in atomically. Probe-cache entries stay and are extended on lookup.
   /// Publishes even when no rows are pending (version still advances).
@@ -179,11 +176,11 @@ class LiveEngine {
  private:
   LiveEngine() = default;
 
-  // Builds a version's facade over \p source with the configured plan. A
-  // failed (packed) shard build falls back to the one-shard plan and
-  // records why in *status.
-  std::shared_ptr<ShardedWebDatabase> BuildFacade(
-      std::shared_ptr<const WebDatabase> source, Status* status) const;
+  // Builds a version's facade over \p source with the configured plan,
+  // taking over \p prev's per-shard accounting (null for the first).
+  Result<std::shared_ptr<ShardedWebDatabase>> BuildFacade(
+      std::shared_ptr<const WebDatabase> source,
+      const ShardedWebDatabase* prev) const;
 
   // Builds the engine of a new version over \p facade: knowledge copy,
   // shard ranker, shared probe cache, trace recorder.
@@ -197,7 +194,6 @@ class LiveEngine {
   std::string name_;
   Schema schema_;
   LiveOptions options_;
-  bool packed_serving_ = false;
   std::shared_ptr<ProbeCache> cache_;  // shared across versions; may be null
   TraceRecorder* trace_ = nullptr;
 
@@ -205,9 +201,8 @@ class LiveEngine {
   mutable std::mutex current_mu_;
   std::shared_ptr<const ServingVersion> current_;  // guarded by current_mu_
 
-  // Publisher state: guarded by publish_mu_ (one publisher at a time).
+  // Serializes publishers (PublishSnapshot, RefreshKnowledge).
   mutable std::mutex publish_mu_;
-  std::shared_ptr<const ColumnarRelation> truth_;  // plain after 1st publish
 
   // Ingest buffer: guarded by ingest_mu_ (never held across a build).
   mutable std::mutex ingest_mu_;

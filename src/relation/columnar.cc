@@ -44,6 +44,18 @@ struct RowCodesEq {
   }
 };
 
+// Interns \p v into \p dict for a packed snapshot. On the first sighting of
+// a numeric attribute's value it extends the code -> double table with the
+// conversion the plain columns store per row.
+ValueId InternPacked(const Value& v, bool numeric, ValueDict* dict,
+                     std::vector<double>* code_num) {
+  const ValueId code = dict->Intern(v);
+  if (numeric && code != ValueDict::kNullCode && code == code_num->size()) {
+    code_num->push_back(v.is_numeric() ? v.AsNum() : 0.0);
+  }
+  return code;
+}
+
 }  // namespace
 
 struct ColumnarRelation::CanonicalIndex {
@@ -115,6 +127,63 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarRelation::Extend(
   const size_t base_rows = base.num_rows_;
   out.num_rows_ = base_rows + delta.size();
   out.snapshot_version_ = new_version;
+  // Append-only dictionaries: copying the base dictionaries preserves every
+  // base code's meaning; delta interning below can only add codes at the
+  // end, exactly as a from-scratch encode of the concatenated stream would.
+  out.dicts_ = base.dicts_;
+  out.codes_.resize(num_attrs);
+  out.nums_.resize(num_attrs);
+
+  if (base.packed()) {
+    // A new in-memory store on the base's block grid, codec and budget —
+    // never on its spill file, which a new store would truncate and unlink.
+    storage::BlockStoreOptions store_opts = base.store_->options();
+    store_opts.spill_path.clear();
+    AIMQ_ASSIGN_OR_RETURN(
+        out.store_,
+        storage::CodeBlockStore::Create(std::move(store_opts), num_attrs));
+    for (size_t a = 0; a < num_attrs; ++a) {
+      storage::CodeBlockStore::Cursor cursor = base.store_->ColumnCursor(a);
+      while (cursor.Next()) {
+        AIMQ_RETURN_NOT_OK(
+            out.store_->Append(a, cursor.data(), cursor.size()));
+      }
+    }
+    // Delta rows: the same row-major interning as ColumnarBuilder.
+    out.code_num_ = base.code_num_;
+    for (const Tuple& tuple : delta) {
+      for (size_t a = 0; a < num_attrs; ++a) {
+        const ValueId code = InternPacked(
+            tuple.At(a), out.schema_.attribute(a).type == AttrType::kNumeric,
+            &out.dicts_[a], &out.code_num_[a]);
+        AIMQ_RETURN_NOT_OK(out.store_->Append(a, &code, 1));
+      }
+    }
+    AIMQ_RETURN_NOT_OK(out.store_->FinishBuild());
+  } else {
+    for (size_t a = 0; a < num_attrs; ++a) {
+      out.codes_[a].reserve(out.num_rows_);
+      out.codes_[a].insert(out.codes_[a].end(), base.codes_[a].begin(),
+                           base.codes_[a].end());
+      if (out.schema_.attribute(a).type == AttrType::kNumeric) {
+        out.nums_[a].reserve(out.num_rows_);
+        out.nums_[a].insert(out.nums_[a].end(), base.nums_[a].begin(),
+                            base.nums_[a].end());
+      }
+    }
+    // Delta rows: the same row-major interning loop as the plain
+    // constructor.
+    for (const Tuple& tuple : delta) {
+      for (size_t a = 0; a < num_attrs; ++a) {
+        const Value& v = tuple.At(a);
+        out.codes_[a].push_back(out.dicts_[a].Intern(v));
+        if (out.schema_.attribute(a).type == AttrType::kNumeric) {
+          out.nums_[a].push_back(v.is_numeric() ? v.AsNum() : 0.0);
+        }
+      }
+    }
+  }
+
   // The first heir continues the base's lineage and takes its canonical
   // index; a second Extend of the same base starts a new lineage.
   std::shared_ptr<CanonicalIndex> index;
@@ -122,61 +191,10 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarRelation::Extend(
     out.lineage_uid_ = base.lineage_uid_;
     index = std::move(base.canonical_index_);
   }
-  // Append-only dictionaries: copying the base dictionaries preserves every
-  // base code's meaning; delta interning below can only add codes at the
-  // end, exactly as a from-scratch encode of the concatenated stream would.
-  out.dicts_ = base.dicts_;
-  out.codes_.resize(num_attrs);
-  out.nums_.resize(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    out.codes_[a].reserve(out.num_rows_);
-    if (out.schema_.attribute(a).type == AttrType::kNumeric) {
-      out.nums_[a].reserve(out.num_rows_);
-    }
-  }
-
-  if (!base.packed()) {
-    for (size_t a = 0; a < num_attrs; ++a) {
-      out.codes_[a].insert(out.codes_[a].end(), base.codes_[a].begin(),
-                           base.codes_[a].end());
-      if (!base.nums_[a].empty()) {
-        out.nums_[a].insert(out.nums_[a].end(), base.nums_[a].begin(),
-                            base.nums_[a].end());
-      }
-    }
-  } else {
-    // Packed base: decode per block into the plain columns (codes are the
-    // same in both storage modes, so the result equals the plain lineage).
-    std::vector<size_t> attrs(num_attrs);
-    for (size_t a = 0; a < num_attrs; ++a) attrs[a] = a;
-    WindowCursor cursor = base.ScanBlocks(std::move(attrs));
-    CodeWindow w;
-    while (cursor.Next(&w)) {
-      for (size_t a = 0; a < num_attrs; ++a) {
-        out.codes_[a].insert(out.codes_[a].end(), w.codes[a],
-                             w.codes[a] + w.num_rows);
-      }
-    }
-    for (size_t a = 0; a < num_attrs; ++a) {
-      if (out.schema_.attribute(a).type != AttrType::kNumeric) continue;
-      for (size_t row = 0; row < base_rows; ++row) {
-        const ValueId code = out.codes_[a][row];
-        out.nums_[a].push_back(code == ValueDict::kNullCode
-                                   ? 0.0
-                                   : base.code_num_[a][code]);
-      }
-    }
-  }
-
-  // Delta rows: the same row-major interning loop as the plain constructor.
-  for (const Tuple& tuple : delta) {
-    for (size_t a = 0; a < num_attrs; ++a) {
-      const Value& v = tuple.At(a);
-      out.codes_[a].push_back(out.dicts_[a].Intern(v));
-      if (out.schema_.attribute(a).type == AttrType::kNumeric) {
-        out.nums_[a].push_back(v.is_numeric() ? v.AsNum() : 0.0);
-      }
-    }
+  // A packed snapshot builds its canonical rows lazily, like every packed
+  // snapshot (EnsureCanonical).
+  if (out.packed()) {
+    return std::shared_ptr<const ColumnarRelation>(std::move(out_mut));
   }
 
   // Canonical partition extended on the delta: base rows keep their mapping
@@ -184,7 +202,6 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarRelation::Extend(
   // holds the base's representatives; otherwise they are re-bucketed
   // (integer hashing of code vectors, no value re-interning). First in
   // stream order wins, exactly as in the from-scratch constructor.
-  if (base.packed()) base.EnsureCanonical();
   out.canonical_ = base.canonical_;
   if (index != nullptr) {
     index->codes = &out.codes_;
@@ -327,16 +344,6 @@ Result<std::unique_ptr<ColumnarBuilder>> ColumnarBuilder::Create(Schema schema,
   for (size_t a = 0; a < num_attrs; ++a) {
     b->is_numeric_[a] =
         b->schema_.attribute(a).type == AttrType::kNumeric ? 1 : 0;
-    if (opts.expected_distinct_per_attr > 0) {
-      b->dicts_[a].Reserve(opts.expected_distinct_per_attr);
-      if (b->is_numeric_[a]) {
-        b->code_num_[a].reserve(opts.expected_distinct_per_attr);
-      }
-    }
-  }
-  b->snapshot_version_ = opts.snapshot_version;
-  if (opts.lineage_base != nullptr && opts.lineage_base->ClaimHeir()) {
-    b->lineage_uid_ = opts.lineage_base->lineage_uid_;
   }
   b->store_ = std::move(store);
   return b;
@@ -351,14 +358,8 @@ Status ColumnarBuilder::AppendRow(const std::vector<Value>& values) {
         "ColumnarBuilder: row arity does not match schema");
   }
   for (size_t a = 0; a < values.size(); ++a) {
-    const Value& v = values[a];
-    const ValueId code = dicts_[a].Intern(v);
-    if (is_numeric_[a] && code != ValueDict::kNullCode &&
-        code == code_num_[a].size()) {
-      // First sighting of this value: extend the code -> double table with
-      // the same conversion the plain constructor applies per row.
-      code_num_[a].push_back(v.is_numeric() ? v.AsNum() : 0.0);
-    }
+    const ValueId code =
+        InternPacked(values[a], is_numeric_[a], &dicts_[a], &code_num_[a]);
     AIMQ_RETURN_NOT_OK(store_->Append(a, &code, 1));
   }
   ++rows_;
@@ -374,8 +375,6 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarBuilder::Finish() {
   auto rel = std::shared_ptr<ColumnarRelation>(new ColumnarRelation());
   rel->schema_ = std::move(schema_);
   rel->num_rows_ = rows_;
-  rel->snapshot_version_ = snapshot_version_;
-  if (lineage_uid_ != 0) rel->lineage_uid_ = lineage_uid_;
   rel->dicts_ = std::move(dicts_);
   rel->codes_.resize(rel->dicts_.size());   // empty: packed mode
   rel->nums_.resize(rel->dicts_.size());    // empty: packed mode

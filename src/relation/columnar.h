@@ -18,6 +18,8 @@
 //     demand under a byte budget. Packed snapshots are produced by
 //     ColumnarBuilder, which streams rows in without ever materializing a
 //     row-store Relation.
+// Extend keeps its base's form: a plain base gives a plain snapshot and a
+// packed base a packed one.
 // All consumers go through the mode-agnostic accessors: CodeAt/NumAt for
 // random access, ScanBlocks for sequential scans over aligned per-block
 // windows. The plain mode is the bit-identical oracle for the packed mode:
@@ -33,8 +35,7 @@
 //
 // Lineage: snapshots that share a lineage_uid() are row prefixes of one
 // another. A new snapshot starts a fresh lineage; the first Extend of a
-// snapshot (and a ColumnarBuilder told to continue it) inherits it, any
-// later one starts a new lineage. So for two snapshots of one lineage with
+// snapshot inherits it, any later one starts a new lineage. So for two snapshots of one lineage with
 // N <= M rows, the N-row snapshot is exactly the first N rows of the M-row
 // one, with the same codes — what lets probe-cache entries outlive a
 // publish (DESIGN.md §5i).
@@ -68,18 +69,22 @@ class ColumnarRelation {
   explicit ColumnarRelation(const Relation& relation);
 
   /// Incremental snapshot production (live ingest, DESIGN.md §5i): a new
-  /// *plain* snapshot holding \p base's rows followed by \p delta, tagged
-  /// \p new_version. Because ValueDict::Intern is append-only and both build
-  /// paths intern row-major in attribute order, the result is bit-identical
-  /// to a from-scratch encode of the concatenated row stream — same codes,
-  /// same dictionaries, same canonical rows. Only the delta is interned and
-  /// hashed; the rest is copied in O(base rows): the dictionaries, the code
-  /// and number columns (decoded per block for a packed base) and the
-  /// canonical-row vector. The first Extend of \p base inherits its lineage
-  /// and takes over its canonical-row index (when \p base was itself made
-  /// by Extend), so it hashes only the delta rows; a later Extend of the
-  /// same base starts a new lineage and rebuilds the index from the base's
-  /// representatives. Delta rows are validated with ValidateTuple.
+  /// snapshot in \p base's storage form holding \p base's rows followed by
+  /// \p delta, tagged \p new_version. Because ValueDict::Intern is
+  /// append-only and every build path interns row-major in attribute order,
+  /// the result is bit-identical to a from-scratch encode of the
+  /// concatenated row stream — same codes, same dictionaries, same canonical
+  /// rows. Only the delta is interned; the rest is copied in O(base rows):
+  /// the dictionaries and either the plain code and number columns or, for
+  /// a packed base, every block (read per column, re-packed into a new
+  /// in-memory store with the base store's block size, codec and budget —
+  /// never its spill file). The first Extend of \p base inherits its
+  /// lineage. A plain result also copies the canonical-row vector and takes
+  /// over the base's canonical-row index (when \p base was itself made by
+  /// Extend), so it hashes only the delta rows; a later Extend of the same
+  /// base starts a new lineage and rebuilds the index from the base's
+  /// representatives. A packed result builds its canonical rows lazily.
+  /// Delta rows are validated with ValidateTuple.
   static Result<std::shared_ptr<const ColumnarRelation>> Extend(
       const ColumnarRelation& base, const std::vector<Tuple>& delta,
       uint64_t new_version);
@@ -231,8 +236,8 @@ class ColumnarRelation {
   // fills it on first CanonicalRow() call.
   mutable std::once_flag canonical_once_;
   mutable std::vector<uint32_t> canonical_;  // [row] -> first identical row
-  // Kept only by snapshots made by Extend, and moved to the first heir
-  // (ClaimHeir guards the hand-off); null otherwise.
+  // Kept only by plain snapshots made by Extend, and moved to the first
+  // heir (ClaimHeir guards the hand-off); null otherwise.
   mutable std::shared_ptr<CanonicalIndex> canonical_index_;
 };
 
@@ -248,17 +253,6 @@ class ColumnarBuilder {
  public:
   struct Options {
     storage::BlockStoreOptions store;
-    /// Capacity hint for per-attribute dictionaries (distinct values).
-    size_t expected_distinct_per_attr = 0;
-    /// snapshot_version() stamped on the finished snapshot (live ingest
-    /// rebuilds a packed serving snapshot per published version).
-    uint64_t snapshot_version = 0;
-    /// When set, the appended rows must start with exactly this snapshot's
-    /// rows (the same codes follow, since interning order matches). Create
-    /// claims it as an Extend would: if this builder is its first heir, the
-    /// finished snapshot continues its lineage. Live ingest sets it to the
-    /// previous packed serving snapshot.
-    const ColumnarRelation* lineage_base = nullptr;
   };
 
   /// Creates a builder for \p schema (and the spill file, if configured).
@@ -286,8 +280,6 @@ class ColumnarBuilder {
   std::vector<uint8_t> is_numeric_;  // per attribute
   std::unique_ptr<storage::CodeBlockStore> store_;
   size_t rows_ = 0;
-  uint64_t snapshot_version_ = 0;
-  uint64_t lineage_uid_ = 0;  // 0: the snapshot starts a fresh lineage
   bool finished_ = false;
 };
 

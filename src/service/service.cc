@@ -36,8 +36,8 @@ AimqService::AimqService(const WebDatabase* source, MinedKnowledge knowledge,
   LiveOptions live_options;
   live_options.engine = std::move(engine_options);
   live_options.shards = ShardOptionsFrom(service_options);
-  // Create never fails: a packed shard build failure falls back to one
-  // shard and surfaces through shard_build_status().
+  // Create cannot fail: the one-shard plan serves the source as it is, and
+  // packed shards build into in-memory block stores.
   live_ = LiveEngine::Create(source, std::move(knowledge),
                              std::move(live_options))
               .TakeValue();

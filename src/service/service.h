@@ -266,9 +266,7 @@ class AimqService {
   obs::MetricsRegistry& metrics_registry() { return registry_; }
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
 
-  /// Effective shard count (1 when unsharded, or when a packed shard build
-  /// failed and the service fell back to one shard — see
-  /// shard_build_status()).
+  /// Effective shard count (1 when unsharded).
   size_t num_shards() const { return live_->Acquire()->facade->num_shards(); }
 
   /// Per-shard probe + cache accounting of the current serving version.
@@ -285,12 +283,9 @@ class AimqService {
     return live_->Acquire()->facade->ShardBlockStats();
   }
 
-  /// OK, or why the current serving version's shard plan failed to build
-  /// and it fell back to one shard. By value: the owning version can be
-  /// superseded while the caller inspects the status.
-  Status shard_build_status() const {
-    return live_->Acquire()->shard_build_status;
-  }
+  /// Always OK: a shard build cannot fail. Kept only for callers that
+  /// still check it; do not add new ones.
+  Status shard_build_status() const { return Status::OK(); }
 
   /// The span recorder, or nullptr when ServiceOptions::enable_tracing was
   /// false. Owned by the service; shared read-only with the engine.

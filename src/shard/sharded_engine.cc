@@ -11,7 +11,7 @@ namespace aimq {
 
 Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
     std::shared_ptr<const WebDatabase> source,
-    const ShardedEngineOptions& options) {
+    const ShardedEngineOptions& options, const ShardedWebDatabase* prev) {
   // The facade shares the source's snapshot: probe keys, scoring, and
   // materialization are byte-for-byte those of the source.
   std::unique_ptr<ShardedWebDatabase> facade(
@@ -21,27 +21,28 @@ Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
   const std::vector<ShardRange> plan =
       PlanRowRanges(source->NumTuples(), options.num_shards);
   facade->shards_.reserve(plan.size());
-  if (plan.size() == 1) {
-    // One-shard plan: the source answers as it is, and the engine-level
-    // shared cache already sits in front of it.
+  for (size_t s = 0; s < plan.size(); ++s) {
     Shard shard;
-    shard.range = plan[0];
-    shard.db = std::move(source);
-    facade->shards_.push_back(std::move(shard));
-    return facade;
-  }
-  for (const ShardRange& range : plan) {
-    Shard shard;
-    shard.range = range;
+    shard.range = plan[s];
+    if (prev != nullptr && s < prev->shards_.size()) {
+      shard.accounting = prev->shards_[s].accounting;
+    } else {
+      shard.accounting = std::make_shared<Accounting>();
+      if (plan.size() > 1 && options.shard_cache_capacity > 0) {
+        shard.accounting->cache =
+            std::make_unique<ProbeCache>(options.shard_cache_capacity);
+      }
+    }
     // Shard dbs reuse the source's name so any error a shard surfaces reads
     // exactly like the source's.
-    if (options.packed_shards) {
-      ColumnarBuilder::Options build_opts;
-      build_opts.store = options.store;
+    if (plan.size() == 1) {
+      // One-shard plan: the source answers as it is, and the engine-level
+      // shared cache already sits in front of it.
+      shard.db = source;
+    } else if (options.packed_shards) {
       AIMQ_ASSIGN_OR_RETURN(std::unique_ptr<ColumnarBuilder> builder,
-                            ColumnarBuilder::Create(source->schema(),
-                                                    std::move(build_opts)));
-      for (uint32_t row = range.begin; row < range.end; ++row) {
+                            ColumnarBuilder::Create(source->schema(), {}));
+      for (uint32_t row = shard.range.begin; row < shard.range.end; ++row) {
         AIMQ_RETURN_NOT_OK(builder->AppendRow(source->MaterializeRow(row)));
       }
       AIMQ_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> snapshot,
@@ -52,14 +53,11 @@ Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
       shard.db = std::move(db);
     } else {
       Relation rows(source->schema());
-      for (uint32_t row = range.begin; row < range.end; ++row) {
+      for (uint32_t row = shard.range.begin; row < shard.range.end; ++row) {
         rows.AppendUnchecked(source->MaterializeRow(row));
       }
       shard.db = std::make_shared<WebDatabase>(source->name(),
                                                std::move(rows));
-    }
-    if (options.shard_cache_capacity > 0) {
-      shard.cache = std::make_unique<ProbeCache>(options.shard_cache_capacity);
     }
     facade->shards_.push_back(std::move(shard));
   }
@@ -70,6 +68,7 @@ Result<std::vector<uint32_t>> ShardedWebDatabase::ProbeShard(
     size_t s, const SelectionQuery& query, size_t from_row,
     uint64_t request_id) const {
   const Shard& shard = shards_[s];
+  Accounting& acct = *shard.accounting;
   // A one-shard plan's only leg is the engine's probe span already.
   TraceSpan span(shards_.size() > 1 ? trace_ : nullptr, "shard_probe",
                  "shard", request_id);
@@ -82,13 +81,17 @@ Result<std::vector<uint32_t>> ShardedWebDatabase::ProbeShard(
     if (from_row > shard.range.begin) {
       return shard.db->ExecuteRowsFrom(query, from_row - shard.range.begin);
     }
-    if (shard.cache == nullptr) return shard.db->ExecuteRows(query);
+    if (acct.cache == nullptr) return shard.db->ExecuteRows(query);
     AIMQ_ASSIGN_OR_RETURN(SharedRows rows,
-                          shard.cache->ExecuteRows(*shard.db, query, &hit));
+                          acct.cache->ExecuteRows(*shard.db, query, &hit));
     return *rows;
   }();
-  shard.latency->Record(leg_timer.ElapsedSeconds());
+  acct.latency.Record(leg_timer.ElapsedSeconds());
   if (!local.ok()) return local.status();
+  if (!hit) {
+    acct.queries_issued.fetch_add(1, std::memory_order_relaxed);
+    acct.tuples_returned.fetch_add(local->size(), std::memory_order_relaxed);
+  }
   // Local ids are ascending within [0, range.NumRows()); offsetting by the
   // range's begin lifts them into the global row space, still ascending.
   std::vector<uint32_t> rows = std::move(*local);
@@ -197,16 +200,16 @@ std::vector<ShardProbeSnapshot> ShardedWebDatabase::ShardStats() const {
   std::vector<ShardProbeSnapshot> out;
   out.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
+    const Accounting& acct = *shards_[s].accounting;
     ShardProbeSnapshot snap;
     snap.shard = s;
     snap.begin_row = shards_[s].range.begin;
     snap.end_row = shards_[s].range.end;
-    snap.queries_issued =
-        shards_[s].db->stats().queries_issued.load(std::memory_order_relaxed);
+    snap.queries_issued = acct.queries_issued.load(std::memory_order_relaxed);
     snap.tuples_returned =
-        shards_[s].db->stats().tuples_returned.load(std::memory_order_relaxed);
-    if (shards_[s].cache != nullptr) snap.cache = shards_[s].cache->stats();
-    snap.latency = shards_[s].latency->Snapshot();
+        acct.tuples_returned.load(std::memory_order_relaxed);
+    if (acct.cache != nullptr) snap.cache = acct.cache->stats();
+    snap.latency = acct.latency.Snapshot();
     out.push_back(std::move(snap));
   }
   return out;

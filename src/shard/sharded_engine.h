@@ -2,7 +2,8 @@
 // probes through.
 //
 // The relation is split into N contiguous row ranges (shard_plan.h). With
-// N > 1 each shard gets its own columnar snapshot (plain or packed), its own
+// N > 1 each shard gets its own columnar snapshot (plain, or packed into
+// in-memory blocks under the default storage::BlockStoreOptions), its own
 // per-code posting lists, and its own ProbeCache, so N shards scan, index,
 // and cache independently — the scale-out unit. With N == 1 ("unsharded")
 // the one shard *is* the source: no row copy, and no shard cache, because
@@ -24,11 +25,14 @@
 // executing base-set top-k trimming as per-shard top-k scans merged by
 // (score desc, row asc) — provably equal to the engine's serial TopK over
 // an ascending row list. LiveEngine (live/live_engine.h) builds one facade
-// per serving version; see DESIGN.md §5h.
+// per serving version, and each takes over the previous facade's per-shard
+// accounting (counters, leg latency, shard cache) by shard index, so the
+// shard metrics never restart on a publish; see DESIGN.md §5h.
 
 #ifndef AIMQ_SHARD_SHARDED_ENGINE_H_
 #define AIMQ_SHARD_SHARDED_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -51,14 +55,12 @@ struct ShardedEngineOptions {
   /// answers every probe through the facade.
   size_t num_shards = 1;
 
-  /// Store each shard's snapshot packed (bit-packed blocks under `store`'s
-  /// budget) instead of plain resident columns. Packed shard copies always
-  /// build per-code posting lists, so their probes stay index-assisted.
-  /// Ignored by the one-shard plan, which serves the source as it is.
+  /// Store each shard's snapshot packed (bit-packed in-memory blocks under
+  /// the default storage::BlockStoreOptions) instead of plain resident
+  /// columns. Packed shard copies always build per-code posting lists, so
+  /// their probes stay index-assisted. Ignored by the one-shard plan, which
+  /// serves the source as it is.
   bool packed_shards = false;
-
-  /// Block-store configuration for packed shard snapshots.
-  storage::BlockStoreOptions store;
 
   /// Per-shard ProbeCache capacity in entries (0 disables shard caches;
   /// probes then always scan the shard). The one-shard plan has no shard
@@ -97,23 +99,36 @@ struct ShardProbeSnapshot {
 /// Thread-safe like its base class.
 class ShardedWebDatabase : public WebDatabase, public ShardRanker {
  public:
+  /// One shard index's probe accounting. It outlives a facade: the next
+  /// serving version's facade shares it, so the shard counters stay
+  /// monotone across publishes.
+  struct Accounting {
+    /// Legs the shard's snapshot answered (shard-cache hits excluded).
+    std::atomic<uint64_t> queries_issued{0};
+    std::atomic<uint64_t> tuples_returned{0};
+    /// Scatter-leg latency (lock-free records from any probing thread).
+    LatencyHistogram latency;
+    /// Per-shard probe cache; null in a one-shard plan or when disabled.
+    /// Keys name the shard snapshot's lineage, so entries of an earlier
+    /// version's shard never answer a later one's probes.
+    std::unique_ptr<ProbeCache> cache;
+  };
+
   struct Shard {
     ShardRange range;
     // The shard's own snapshot; the source itself in a one-shard plan.
     std::shared_ptr<const WebDatabase> db;
-    std::unique_ptr<ProbeCache> cache;  // per-shard probe cache; may be null
-    // Scatter-leg latency (lock-free records from any probing thread).
-    std::unique_ptr<LatencyHistogram> latency =
-        std::make_unique<LatencyHistogram>();
+    std::shared_ptr<Accounting> accounting;  // never null
   };
 
   /// Builds the facade over \p source (plain or packed). A one-range plan
-  /// serves from \p source itself and cannot fail; with more ranges each
-  /// shard copies its rows out of \p source, which fails only for packed
-  /// shards (block-store / spill setup).
+  /// serves from \p source itself; with more ranges each shard copies its
+  /// rows out of \p source. Shard i takes over \p prev's shard i
+  /// accounting when \p prev has that shard.
   static Result<std::unique_ptr<ShardedWebDatabase>> Create(
       std::shared_ptr<const WebDatabase> source,
-      const ShardedEngineOptions& options);
+      const ShardedEngineOptions& options,
+      const ShardedWebDatabase* prev = nullptr);
 
   /// Scatters \p query to every shard whose range ends after \p from_row
   /// and gathers ascending global row ids. A shard the requested rows cover

@@ -100,6 +100,9 @@ class CodeBlockStore {
   Status FinishBuild();
 
   bool built() const { return built_; }
+  /// The options this store was built with (block_size as requested, not
+  /// rounded; see block_size()).
+  const BlockStoreOptions& options() const { return opts_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_cols() const { return columns_.size(); }
   size_t block_size() const { return block_size_; }

@@ -38,11 +38,7 @@ void WebDatabase::BuildPostingLists() {
 }
 
 void WebDatabase::ExtendPostingLists(const WebDatabase& prev) {
-  if (!postings_.empty()) return;
-  if (prev.postings_.empty()) {
-    BuildPostingLists();
-    return;
-  }
+  if (!postings_.empty() || prev.postings_.empty()) return;
   const size_t n = cols_->NumAttributes();
   const size_t from_row = prev.cols_->NumRows();
   // Old lists carry over verbatim: append-only dictionaries keep every old

@@ -99,8 +99,9 @@ class WebDatabase {
   /// meaning, and delta row ids exceed all of prev's, so per-code ascending
   /// order is preserved by appending) — and scans only the delta rows.
   /// Requires prev's snapshot to be a version-ancestor of this one with
-  /// prev.NumTuples() <= NumTuples(); falls back to a full build when prev
-  /// has no postings. Not thread-safe against in-flight queries: call before
+  /// prev.NumTuples() <= NumTuples(). Builds nothing when prev has no
+  /// postings, so a live lineage keeps posting lists iff its first version
+  /// had them. Not thread-safe against in-flight queries: call before
   /// serving.
   void ExtendPostingLists(const WebDatabase& prev);
 

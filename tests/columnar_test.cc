@@ -287,32 +287,99 @@ TEST(ColumnarExtendTest, ExtendValidatesDeltaRows) {
   EXPECT_EQ(cols->NumRows(), 1u);
 }
 
+// Builds a packed snapshot of rows [0, count) of \p rows with \p store.
+std::shared_ptr<const ColumnarRelation> BuildPacked(
+    const Relation& rows, size_t count,
+    const storage::BlockStoreOptions& store) {
+  ColumnarBuilder::Options opts;
+  opts.store = store;
+  auto builder = ColumnarBuilder::Create(rows.schema(), opts);
+  EXPECT_TRUE(builder.ok());
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE((*builder)->AppendRow(rows.tuple(i)).ok());
+  }
+  auto packed = (*builder)->Finish();
+  EXPECT_TRUE(packed.ok());
+  return packed.ok() ? *packed : nullptr;
+}
+
+std::vector<Tuple> RowsFrom(const Relation& rows, size_t begin) {
+  std::vector<Tuple> out;
+  for (size_t i = begin; i < rows.NumTuples(); ++i) {
+    out.push_back(rows.tuple(i));
+  }
+  return out;
+}
+
 TEST(ColumnarExtendTest, ExtendFromPackedBaseMatchesPlainEncode) {
   CarDbSpec spec;
   spec.num_tuples = 150;
   spec.seed = 5;
   Relation all = CarDbGenerator(spec).Generate();
 
-  ColumnarBuilder::Options opts;
-  opts.store.block_size = 64;  // several blocks
-  auto builder = ColumnarBuilder::Create(all.schema(), opts);
-  ASSERT_TRUE(builder.ok());
-  std::vector<Tuple> delta;
-  for (size_t i = 0; i < all.NumTuples(); ++i) {
-    if (i < 100) {
-      ASSERT_TRUE((*builder)->AppendRow(all.tuple(i)).ok());
-    } else {
-      delta.push_back(all.tuple(i));
-    }
-  }
-  auto packed_base = (*builder)->Finish();
-  ASSERT_TRUE(packed_base.ok());
-  ASSERT_TRUE((*packed_base)->packed());
+  storage::BlockStoreOptions store;
+  store.block_size = 64;  // several blocks; 100 and 150 rows end ragged
+  store.codec = storage::CodecKind::kLite;
+  const auto packed_base = BuildPacked(all, 100, store);
+  ASSERT_NE(packed_base, nullptr);
+  ASSERT_TRUE(packed_base->packed());
 
-  auto extended = ColumnarRelation::Extend(**packed_base, delta, 3);
+  auto extended =
+      ColumnarRelation::Extend(*packed_base, RowsFrom(all, 100), 3);
   ASSERT_TRUE(extended.ok());
-  EXPECT_FALSE((*extended)->packed());  // Extend produces plain snapshots
+  // Extend keeps the base's form and its store's block grid and codec.
+  ASSERT_TRUE((*extended)->packed());
+  const storage::BlockStoreStats stats =
+      (*extended)->block_store()->GetStats();
+  EXPECT_EQ((*extended)->block_store()->block_size(), 64u);
+  EXPECT_EQ(stats.num_blocks, 3u);
+  EXPECT_EQ(stats.codec, storage::CodecKind::kLite);
+  EXPECT_EQ((*extended)->snapshot_version(), 3u);
+  EXPECT_EQ((*extended)->lineage_uid(), packed_base->lineage_uid());
+  // The plain from-scratch encode stays the oracle.
+  ASSERT_FALSE(all.columnar()->packed());
   ExpectSnapshotsIdentical(**extended, *all.columnar());
+}
+
+// A spilled base under a budget that evicts: the extended snapshot lives in
+// its own in-memory store, and the base still reads back from its spill
+// file afterwards.
+TEST(ColumnarExtendTest, ExtendOfSpilledPackedBaseLeavesTheBaseReadable) {
+  CarDbSpec spec;
+  spec.num_tuples = 400;
+  spec.seed = 9;
+  Relation all = CarDbGenerator(spec).Generate();
+  Relation base_rows(all.schema());
+  for (size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(base_rows.Append(all.tuple(i)).ok());
+  }
+
+  const std::string spill_path =
+      (std::filesystem::temp_directory_path() /
+       ("aimq_columnar_extend_spill_" + std::to_string(::getpid())))
+          .string();
+  storage::BlockStoreOptions store;
+  store.block_size = 64;
+  store.budget_bytes = 1024;  // four decoded blocks: reads evict
+  store.spill_path = spill_path;
+  const auto base = BuildPacked(all, 300, store);
+  ASSERT_NE(base, nullptr);
+  ASSERT_GT(base->block_store()->GetStats().spilled_bytes, 0u);
+
+  auto extended = ColumnarRelation::Extend(*base, RowsFrom(all, 300), 1);
+  ASSERT_TRUE(extended.ok());
+  ASSERT_TRUE((*extended)->packed());
+  const storage::CodeBlockStore& out_store = *(*extended)->block_store();
+  EXPECT_EQ(out_store.GetStats().spilled_bytes, 0u);
+  EXPECT_EQ(out_store.options().budget_bytes, 1024u);
+  EXPECT_TRUE(out_store.options().spill_path.empty());
+  ExpectSnapshotsIdentical(**extended, *all.columnar());
+
+  // Every base row, re-read through evictions and so from the spill file,
+  // still equals the plain oracle.
+  ExpectSnapshotsIdentical(*base, *base_rows.columnar());
+  EXPECT_GT(base->block_store()->GetStats().cache.evictions, 0u);
+  std::filesystem::remove(spill_path);
 }
 
 TEST(ColumnarExtendTest, SecondExtendOfOneBaseStartsANewLineage) {
@@ -339,23 +406,21 @@ TEST(ColumnarExtendTest, SecondExtendOfOneBaseStartsANewLineage) {
   ExpectSnapshotsIdentical(**heir, *all.columnar());
   ExpectSnapshotsIdentical(**sibling, *all.columnar());
 
-  // A builder told to continue a snapshot obeys the same first-heir rule.
-  const auto build = [&](const ColumnarRelation* lineage_base) {
-    ColumnarBuilder::Options opts;
-    opts.lineage_base = lineage_base;
-    auto builder = ColumnarBuilder::Create(all.schema(), opts);
-    EXPECT_TRUE(builder.ok());
-    for (const Tuple& t : all.tuples()) {
-      EXPECT_TRUE((*builder)->AppendRow(t).ok());
-    }
-    auto packed = (*builder)->Finish();
-    EXPECT_TRUE(packed.ok());
-    return *packed;
-  };
-  const auto continued = build(sibling->get());
-  EXPECT_EQ(continued->lineage_uid(), (*sibling)->lineage_uid());
-  EXPECT_NE(build(sibling->get())->lineage_uid(), (*sibling)->lineage_uid());
-  EXPECT_NE(build(nullptr)->lineage_uid(), (*sibling)->lineage_uid());
+  // Extending a packed snapshot obeys the same first-heir rule.
+  storage::BlockStoreOptions store;
+  store.block_size = 64;
+  const auto packed = BuildPacked(all, 3, store);
+  ASSERT_NE(packed, nullptr);
+  auto packed_heir = ColumnarRelation::Extend(*packed, second, 1);
+  auto packed_sibling = ColumnarRelation::Extend(*packed, second, 1);
+  ASSERT_TRUE(packed_heir.ok());
+  ASSERT_TRUE(packed_sibling.ok());
+  ASSERT_TRUE((*packed_heir)->packed());
+  EXPECT_EQ((*packed_heir)->lineage_uid(), packed->lineage_uid());
+  EXPECT_NE((*packed_sibling)->lineage_uid(), packed->lineage_uid());
+  EXPECT_NE((*packed_sibling)->lineage_uid(), (*packed_heir)->lineage_uid());
+  ExpectSnapshotsIdentical(**packed_heir, *all.columnar());
+  ExpectSnapshotsIdentical(**packed_sibling, *all.columnar());
   // The heir's own heir continues the lineage again.
   auto grandchild = ColumnarRelation::Extend(**heir, {}, 2);
   ASSERT_TRUE(grandchild.ok());

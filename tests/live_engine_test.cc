@@ -213,7 +213,6 @@ TEST_F(LiveEngineTest, RefreshKnowledgeSharesSnapshotAndResetsStaleness) {
   const auto v2 = live->Acquire();
   EXPECT_EQ(v2->knowledge_version, 2u);
   EXPECT_EQ(v2->snapshot_version, 1u);  // knowledge-only swap
-  EXPECT_EQ(v2->snapshot, v1->snapshot);
   EXPECT_EQ(v2->source, v1->source);
   EXPECT_NE(v2->engine.get(), v1->engine.get());
   EXPECT_EQ(v2->knowledge->mined_at_rows, v2->num_rows);
@@ -253,8 +252,9 @@ TEST_F(LiveEngineTest, PublishCarriesCacheEntriesForward) {
   // and equal a fresh, cache-free engine's over the same rows.
   const auto v1 = live->Acquire();
   Relation rows(db_->schema());
-  for (size_t row = 0; row < v1->snapshot->NumRows(); ++row) {
-    rows.AppendUnchecked(v1->snapshot->MaterializeTuple(row));
+  const ColumnarRelation& cols = *v1->source->columnar();
+  for (size_t row = 0; row < cols.NumRows(); ++row) {
+    rows.AppendUnchecked(cols.MaterializeTuple(row));
   }
   const WebDatabase fresh_db("CarDB", std::move(rows));
   AimqOptions serial = *options_;
@@ -278,8 +278,6 @@ TEST_F(LiveEngineTest, ShardedVersionsReplanRangesOnPublish) {
   auto live = MakeLive(/*cache_capacity=*/0, /*num_shards=*/4);
   ASSERT_NE(live, nullptr);
   const auto v0 = live->Acquire();
-  ASSERT_TRUE(v0->shard_build_status.ok())
-      << v0->shard_build_status.ToString();
   EXPECT_EQ(v0->facade->num_shards(), 4u);
 
   ASSERT_TRUE(live->Ingest(DeltaRows(0, 40)).ok());
@@ -298,66 +296,52 @@ TEST_F(LiveEngineTest, UnshardedVersionsServeAOneShardPlanOverTheSource) {
   auto live = MakeLive(/*cache_capacity=*/4096);
   ASSERT_NE(live, nullptr);
   const auto v0 = live->Acquire();
-  ASSERT_TRUE(v0->shard_build_status.ok());
   ASSERT_EQ(v0->facade->num_shards(), 1u);
   EXPECT_EQ(v0->facade->shard(0).db.get(), db_);
-  EXPECT_EQ(v0->facade->shard(0).cache, nullptr);
+  EXPECT_EQ(v0->facade->shard(0).accounting->cache, nullptr);
 
   ASSERT_TRUE(live->Ingest(DeltaRows(0, 40)).ok());
   ASSERT_TRUE(live->PublishSnapshot().ok());
   const auto v1 = live->Acquire();
-  ASSERT_TRUE(v1->shard_build_status.ok());
   ASSERT_EQ(v1->facade->num_shards(), 1u);
   EXPECT_EQ(v1->facade->shard(0).db, v1->source);
-  EXPECT_EQ(v1->facade->shard(0).cache, nullptr);
+  EXPECT_EQ(v1->facade->shard(0).accounting->cache, nullptr);
   EXPECT_EQ(v1->facade->shard(0).range.end, db_->NumTuples() + 40);
 }
 
-// A packed shard build that fails (its spill file cannot be created) falls
-// back to the one-shard plan and says why, at startup and on every publish;
-// answers stay those of a serial cache-free engine.
-TEST_F(LiveEngineTest, FailedPackedShardBuildFallsBackToOneShard) {
-  LiveOptions lopts;
-  lopts.engine = *options_;
-  lopts.shards.num_shards = 3;
-  lopts.shards.packed_shards = true;
-  lopts.shards.store.spill_path =
-      testing::TempDir() + "aimq_no_such_dir/shard.spill";
-  auto created = LiveEngine::Create(db_, *knowledge_, lopts);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  const std::unique_ptr<LiveEngine> live = created.TakeValue();
-
-  AimqOptions serial = *options_;
-  serial.num_threads = 1;
-  serial.probe_cache_capacity = 0;
-  const auto expect_reference_answers = [&](const ServingVersion& version,
-                                            const WebDatabase& source) {
-    AimqEngine reference(&source, version.knowledge->knowledge, serial);
-    for (const char* model : {"Camry", "Civic"}) {
-      auto served = version.engine->Answer(ModelQuery(model));
-      auto direct = reference.Answer(ModelQuery(model));
-      ASSERT_TRUE(served.ok()) << served.status().ToString();
-      ASSERT_TRUE(direct.ok());
-      ASSERT_EQ(served->size(), direct->size()) << model;
-      for (size_t i = 0; i < direct->size(); ++i) {
-        EXPECT_EQ((*served)[i].tuple, (*direct)[i].tuple) << model;
-        EXPECT_EQ((*served)[i].similarity, (*direct)[i].similarity) << model;
-      }
-    }
-  };
-
-  const auto v0 = live->Acquire();
-  EXPECT_FALSE(v0->shard_build_status.ok());
-  EXPECT_EQ(v0->facade->num_shards(), 1u);
-  expect_reference_answers(*v0, *db_);
+// Each version's facade takes over the previous one's per-shard accounting,
+// so every shard counter the metrics export is monotone across a publish.
+TEST_F(LiveEngineTest, ShardCountersSurvivePublishes) {
+  auto live = MakeLive(/*cache_capacity=*/4096, /*num_shards=*/3);
+  ASSERT_NE(live, nullptr);
+  ASSERT_TRUE(live->Acquire()->engine->Answer(ModelQuery("Camry")).ok());
+  const std::vector<ShardProbeSnapshot> before =
+      live->Acquire()->facade->ShardStats();
+  ASSERT_EQ(before.size(), 3u);
+  for (const ShardProbeSnapshot& s : before) {
+    ASSERT_GT(s.queries_issued, 0u) << "shard " << s.shard;
+    ASSERT_GT(s.cache.lookups, 0u) << "shard " << s.shard;
+  }
 
   ASSERT_TRUE(live->Ingest(DeltaRows(0, 40)).ok());
   ASSERT_TRUE(live->PublishSnapshot().ok());
-  const auto v1 = live->Acquire();
-  EXPECT_FALSE(v1->shard_build_status.ok());
-  EXPECT_EQ(v1->facade->num_shards(), 1u);
-  EXPECT_EQ(v1->num_rows, db_->NumTuples() + 40);
-  expect_reference_answers(*v1, *v1->source);
+  // Camry's cached probes extend over the 40 new rows, which only the last
+  // shard holds: the other shards see no new legs, so a counter that
+  // restarted at the publish would read lower than before it.
+  ASSERT_TRUE(live->Acquire()->engine->Answer(ModelQuery("Camry")).ok());
+  const std::vector<ShardProbeSnapshot> after =
+      live->Acquire()->facade->ShardStats();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "shard " << i);
+    EXPECT_GE(after[i].queries_issued, before[i].queries_issued);
+    EXPECT_GE(after[i].tuples_returned, before[i].tuples_returned);
+    EXPECT_GE(after[i].cache.lookups, before[i].cache.lookups);
+    EXPECT_GE(after[i].cache.hits, before[i].cache.hits);
+    EXPECT_GE(after[i].cache.misses, before[i].cache.misses);
+    EXPECT_GE(after[i].latency.count, before[i].latency.count);
+    EXPECT_GE(after[i].latency.sum_seconds, before[i].latency.sum_seconds);
+  }
 }
 
 }  // namespace

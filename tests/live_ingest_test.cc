@@ -209,10 +209,6 @@ class LiveIngestPropertyTest : public ::testing::Test {
     auto created = LiveEngine::Create(source.get(), *knowledge_, lopts);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     std::unique_ptr<LiveEngine> live = created.TakeValue();
-    if (config.num_shards > 1) {
-      ASSERT_TRUE(live->Acquire()->shard_build_status.ok())
-          << live->Acquire()->shard_build_status.ToString();
-    }
 
     const std::vector<ImpreciseQuery> queries = {
         ModelQuery("Camry"), ModelQuery("Civic"), ModelQuery("Altima")};
@@ -238,8 +234,10 @@ class LiveIngestPropertyTest : public ::testing::Test {
     observe_all();
 
     // Publisher thread: an ingest/publish/refresh script racing the
-    // clients — three snapshot publishes and one knowledge refresh.
+    // clients — three snapshot publishes and one knowledge refresh. It
+    // records each version it publishes (read after the join).
     std::atomic<bool> publisher_done{false};
+    std::vector<std::shared_ptr<const ServingVersion>> published;
     std::thread publisher([&] {
       for (int batch = 0; batch < 3; ++batch) {
         std::vector<Tuple> rows;
@@ -247,8 +245,9 @@ class LiveIngestPropertyTest : public ::testing::Test {
           rows.push_back(delta_->tuple(batch * 30 + i));
         }
         ASSERT_TRUE(live->Ingest(std::move(rows)).ok());
-        auto published = live->PublishSnapshot();
-        ASSERT_TRUE(published.ok()) << published.status().ToString();
+        auto version = live->PublishSnapshot();
+        ASSERT_TRUE(version.ok()) << version.status().ToString();
+        published.push_back(live->Acquire());
         if (batch == 1) {
           auto refreshed = live->RefreshKnowledge();
           ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
@@ -297,7 +296,30 @@ class LiveIngestPropertyTest : public ::testing::Test {
       // versions instead of probing afresh, and nothing aged out.
       const ProbeCacheStats stats = live->probe_cache()->stats();
       EXPECT_GT(stats.extended, 0u);
+      EXPECT_EQ(stats.evictions, 0u);
       EXPECT_EQ(stats.version_evictions, 0u);
+    }
+    // Every published version extends its predecessor's snapshot in the
+    // initial source's form: one lineage, the same block grid, and posting
+    // lists iff the initial source had them. (A packed source's snapshot is
+    // this config's own, so its first publish continues its lineage.)
+    ASSERT_EQ(published.size(), 3u);
+    const ColumnarRelation& initial_cols = *source->columnar();
+    for (const auto& version : published) {
+      SCOPED_TRACE(::testing::Message()
+                   << "version " << version->snapshot_version);
+      const ColumnarRelation& cols = *version->source->columnar();
+      ASSERT_EQ(cols.packed(), config.packed);
+      EXPECT_EQ(cols.lineage_uid(),
+                published[0]->source->columnar()->lineage_uid());
+      EXPECT_EQ(version->source->has_posting_lists(),
+                source->has_posting_lists());
+      if (config.packed) {
+        EXPECT_EQ(cols.lineage_uid(), initial_cols.lineage_uid());
+        EXPECT_EQ(cols.block_store()->block_size(),
+                  initial_cols.block_store()->block_size());
+        EXPECT_EQ(cols.block_store()->options().block_size, 64u);
+      }
     }
     // The final version reflects the whole script.
     const auto final_version = live->Acquire();

@@ -344,7 +344,6 @@ TEST_F(ServerTest, MetricsJsonMatchesPrometheusTextSampleForSample) {
   sopts.num_shards = 4;
   sopts.packed_shards = true;
   AimqService service(db_, knowledge.TakeValue(), options, sopts);
-  ASSERT_TRUE(service.shard_build_status().ok());
   ASSERT_EQ(service.num_shards(), 4u);
   ASSERT_TRUE(service.Start().ok());
   AimqServer server(&service, /*port=*/0);

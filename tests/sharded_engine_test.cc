@@ -291,8 +291,6 @@ void ExpectShardedMatchesSerial(const WebDatabase& db,
   auto live = LiveEngine::Create(&db, knowledge, lopts);
   ASSERT_TRUE(live.ok()) << live.status().ToString();
   const std::shared_ptr<const ServingVersion> version = (*live)->Acquire();
-  ASSERT_TRUE(version->shard_build_status.ok())
-      << version->shard_build_status.ToString();
   ASSERT_EQ(version->facade->num_shards(), num_shards);
 
   for (const ImpreciseQuery& query : TestQueries()) {

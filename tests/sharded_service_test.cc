@@ -120,7 +120,6 @@ TEST_F(ShardedServiceTest, ShardedServiceMatchesUnshardedEngine) {
   sopts.queue_depth = 64;
   sopts.num_shards = 4;
   AimqService service(db_, *knowledge_, *options_, sopts);
-  ASSERT_TRUE(service.shard_build_status().ok());
   ASSERT_EQ(service.num_shards(), 4u);
   ASSERT_TRUE(service.Start().ok());
 
