@@ -2,7 +2,8 @@
 // dictionary encoding, stripped-partition construction (row-store vs coded),
 // partition products, g3 error evaluation, bag-Jaccard (string vs coded),
 // probe scans (Value comparisons vs compiled code comparisons), probe-cache
-// hits from 1/2/4 threads sharing one cache, supertuple
+// hits from 1/2/4 threads sharing one cache, probe-cache extensions over a
+// published delta, supertuple
 // construction, value-similarity mining, TANE, and ROCK link computation.
 // These quantify where the offline phases of Table 2 spend their time and
 // prove the dictionary-encoded storage core's win over the row-store
@@ -24,9 +25,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "afd/partition.h"
@@ -36,6 +43,7 @@
 #include "query/selection_query.h"
 #include "relation/columnar.h"
 #include "rock/rock.h"
+#include "shard/sharded_engine.h"
 #include "simd/dispatch.h"
 #include "similarity/supertuple.h"
 #include "similarity/value_similarity.h"
@@ -354,6 +362,133 @@ void BM_ProbeCacheHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProbeCacheHit)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+
+// Probe-cache extensions: lookups on entries cached against an older
+// snapshot of the source's lineage, in ingest_mixed's shape. The source is
+// 50k CarDB rows served through the one-shard facade, plain
+// (state.range(1) == 0) or packed in blocks (1), the keys are
+// relaxation-style probes (code equalities plus banded Price and Mileage
+// ranges), and the newer snapshot adds state.range(0) rows. Each thread
+// fills a cache of its own against the older snapshot before the timed
+// loop, then extends one distinct entry per iteration, so ns/op is one
+// extension (and every iteration is one: the loop never wraps).
+
+struct ProbeCacheExtendFixture {
+  static constexpr size_t kBaseRows = 50000;
+  static constexpr int64_t kKeys = 40000;  // the fixed iteration count
+
+  ProbeCacheExtendFixture(size_t delta_rows, bool packed) {
+    CarDbSpec spec;
+    spec.num_tuples = kBaseRows + delta_rows;
+    spec.seed = 2006;
+    const Relation all = CarDbGenerator(spec).Generate();
+    Relation base(all.schema());
+    std::vector<Tuple> delta;
+    for (size_t i = 0; i < all.NumTuples(); ++i) {
+      if (i < kBaseRows) {
+        base.AppendUnchecked(all.tuple(i));
+      } else {
+        delta.push_back(all.tuple(i));
+      }
+    }
+    std::shared_ptr<WebDatabase> v0;
+    if (packed) {
+      auto builder =
+          ColumnarBuilder::Create(base.schema(), ColumnarBuilder::Options())
+              .TakeValue();
+      for (size_t i = 0; i < base.NumTuples(); ++i) {
+        (void)builder->AppendRow(base.tuple(i));
+      }
+      v0 = std::make_shared<WebDatabase>("CarDB",
+                                         builder->Finish().ValueOrDie());
+    } else {
+      v0 = std::make_shared<WebDatabase>("CarDB", std::move(base));
+    }
+    auto v1 = std::make_shared<WebDatabase>(
+        "CarDB",
+        ColumnarRelation::Extend(*v0->columnar(), delta, 1).ValueOrDie());
+    v1->ExtendPostingLists(*v0);
+    ShardedEngineOptions one_shard;
+    older = ShardedWebDatabase::Create(v0, one_shard).TakeValue();
+    newer =
+        ShardedWebDatabase::Create(v1, one_shard, older.get()).TakeValue();
+
+    std::unordered_set<ProbeKey, ProbeKeyHash> seen;
+    for (size_t i = 0; i < kBaseRows && queries.size() < size_t{kKeys}; ++i) {
+      const Tuple& t = all.tuple(i);
+      std::vector<Predicate> preds = {
+          Predicate::Eq("Make", t.At(CarDbGenerator::kMake)),
+          Predicate::Eq("Model", t.At(CarDbGenerator::kModel)),
+          Predicate::Eq("Color", t.At(CarDbGenerator::kColor))};
+      for (const size_t attr : {CarDbGenerator::kPrice,
+                                CarDbGenerator::kMileage}) {
+        const double v = t.At(attr).AsNum();
+        const std::string& name = all.schema().attribute(attr).name;
+        preds.push_back(Predicate(name, CompareOp::kLe,
+                                  Value::Num(v + std::abs(v) * 0.1)));
+        preds.push_back(Predicate(name, CompareOp::kGe,
+                                  Value::Num(v - std::abs(v) * 0.1)));
+      }
+      SelectionQuery query(std::move(preds));
+      ProbeKey key = ProbeKey::ForQuery(*older->columnar(), query);
+      if (!seen.insert(key).second) continue;
+      queries.push_back(std::move(query));
+      keys.push_back(std::move(key));
+    }
+    if (queries.size() < size_t{kKeys}) {
+      std::fprintf(stderr, "BM_ProbeCacheExtend: only %zu distinct keys\n",
+                   queries.size());
+      std::abort();
+    }
+  }
+
+  std::unique_ptr<ShardedWebDatabase> older;
+  std::unique_ptr<ShardedWebDatabase> newer;
+  std::vector<SelectionQuery> queries;
+  std::vector<ProbeKey> keys;
+};
+
+void BM_ProbeCacheExtend(benchmark::State& state) {
+  static std::mutex mu;
+  static auto* fixtures =
+      new std::map<std::pair<int64_t, int64_t>,
+                   std::unique_ptr<ProbeCacheExtendFixture>>();
+  const ProbeCacheExtendFixture* fixture = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto& slot = (*fixtures)[{state.range(0), state.range(1)}];
+    if (slot == nullptr) {
+      slot = std::make_unique<ProbeCacheExtendFixture>(
+          static_cast<size_t>(state.range(0)), state.range(1) != 0);
+    }
+    fixture = slot.get();
+  }
+  size_t index = 0;
+  const auto make_query = [&]() -> const SelectionQuery& {
+    return fixture->queries[index];
+  };
+  ProbeCache cache(2 * ProbeCacheExtendFixture::kKeys);
+  for (index = 0; index < fixture->keys.size(); ++index) {
+    (void)cache.ExecuteRows(*fixture->older, fixture->keys[index],
+                            make_query);
+  }
+  index = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.ExecuteRows(
+        *fixture->newer, fixture->keys[index], make_query));
+    ++index;
+  }
+  if (cache.stats().extended != fixture->keys.size()) {
+    state.SkipWithError("a lookup was not an extension");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProbeCacheExtend)
+    ->ArgsProduct({{8, 800}, {0, 1}})
+    ->Threads(1)
+    ->Threads(4)
+    ->Iterations(ProbeCacheExtendFixture::kKeys)
+    ->UseRealTime();
 
 // --- Offline phases ---------------------------------------------------------
 

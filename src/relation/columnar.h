@@ -135,6 +135,13 @@ class ColumnarRelation {
     return code == ValueDict::kNullCode ? 0.0 : code_num_[attr][code];
   }
 
+  /// NumAt for a row whose \p code the caller has already read (a scan
+  /// window's), without reading it again.
+  double NumAt(size_t attr, size_t row, ValueId code) const {
+    if (store_ == nullptr) return nums_[attr][row];
+    return code == ValueDict::kNullCode ? 0.0 : code_num_[attr][code];
+  }
+
   bool is_null(size_t attr, size_t row) const {
     return CodeAt(attr, row) == ValueDict::kNullCode;
   }

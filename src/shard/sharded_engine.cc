@@ -8,6 +8,18 @@
 #include "util/topk.h"
 
 namespace aimq {
+namespace {
+
+// Adds \p from's cumulative block-cache counters to \p into's.
+void AddBlockCounters(const storage::BlockCache::Stats& from,
+                      storage::BlockCache::Stats* into) {
+  into->hits += from.hits;
+  into->misses += from.misses;
+  into->evictions += from.evictions;
+  into->decode_nanos += from.decode_nanos;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
     std::shared_ptr<const WebDatabase> source,
@@ -25,7 +37,13 @@ Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
     Shard shard;
     shard.range = plan[s];
     if (prev != nullptr && s < prev->shards_.size()) {
-      shard.accounting = prev->shards_[s].accounting;
+      const Shard& earlier = prev->shards_[s];
+      shard.accounting = earlier.accounting;
+      shard.earlier_blocks = earlier.earlier_blocks;
+      if (const storage::CodeBlockStore* store =
+              earlier.db->columnar()->block_store()) {
+        AddBlockCounters(store->GetStats().cache, &shard.earlier_blocks);
+      }
     } else {
       shard.accounting = std::make_shared<Accounting>();
       if (plan.size() > 1 && options.shard_cache_capacity > 0) {
@@ -222,7 +240,9 @@ ShardedWebDatabase::ShardBlockStats() const {
     const storage::CodeBlockStore* store =
         shards_[s].db->columnar()->block_store();
     if (store == nullptr) continue;
-    out.emplace_back(s, store->GetStats());
+    storage::BlockStoreStats stats = store->GetStats();
+    AddBlockCounters(shards_[s].earlier_blocks, &stats.cache);
+    out.emplace_back(s, std::move(stats));
   }
   return out;
 }

@@ -96,6 +96,7 @@ struct ShardProbeSnapshot {
 /// MaterializeRow(), and columnar() behave exactly like the source (probe
 /// keys, which ProbeKey::ForQuery derives from columnar(), and engine
 /// scoring are unchanged); only ExecuteRowsFrom routes differently.
+/// ExecuteKeyFrom is the base class's, over that same snapshot.
 /// Thread-safe like its base class.
 class ShardedWebDatabase : public WebDatabase, public ShardRanker {
  public:
@@ -119,6 +120,14 @@ class ShardedWebDatabase : public WebDatabase, public ShardRanker {
     // The shard's own snapshot; the source itself in a one-shard plan.
     std::shared_ptr<const WebDatabase> db;
     std::shared_ptr<Accounting> accounting;  // never null
+    // Block-cache counters (hits, misses, evictions, decode time) of the
+    // packed stores earlier versions of this shard read, frozen when this
+    // facade took over their accounting. Each version reads a store of
+    // its own, so ShardBlockStats adds these to keep the counters monotone
+    // across publishes. Per facade rather than in the shared Accounting:
+    // the previous facade keeps reporting its own store's counters
+    // unchanged while it still serves.
+    storage::BlockCache::Stats earlier_blocks;
   };
 
   /// Builds the facade over \p source (plain or packed). A one-range plan
@@ -134,7 +143,10 @@ class ShardedWebDatabase : public WebDatabase, public ShardRanker {
   /// and gathers ascending global row ids. A shard the requested rows cover
   /// whole answers a full probe (through its cache, else its ExecuteRows); the
   /// shard holding \p from_row answers the local delta (its
-  /// ExecuteRowsFrom), so extensions keep posting-list-driven scans.
+  /// ExecuteRowsFrom). Probe-cache extensions reach it only for keys that
+  /// can fail: the facade keeps the base ExecuteKeyFrom, which evaluates a
+  /// key's delta rows against the facade's own snapshot (the source's), so
+  /// they cost no shard leg.
   Result<std::vector<uint32_t>> ExecuteRowsFrom(
       const SelectionQuery& query, size_t from_row) const override;
 
@@ -152,8 +164,10 @@ class ShardedWebDatabase : public WebDatabase, public ShardRanker {
 
   /// (shard index, block-store stats) of every packed shard snapshot — a
   /// packed source's own store at index 0 in a one-shard plan; empty when
-  /// the shards are plain. Feeds the block-cache metric families and the
-  /// explain op's blocks-decoded delta.
+  /// the shards are plain. The cache's hit, miss, eviction and decode-time
+  /// counters include those of the stores the shard's earlier versions
+  /// read, so they survive publishes. Feeds the block-cache metric families
+  /// and the explain op's blocks-decoded delta.
   std::vector<std::pair<size_t, storage::BlockStoreStats>> ShardBlockStats()
       const;
 

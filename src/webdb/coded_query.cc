@@ -12,21 +12,6 @@ namespace {
 /// kernel loads 32 bits per lane).
 constexpr size_t kMatchTablePad = 8;
 
-bool RangeMatches(CompareOp op, double a, double threshold) {
-  switch (op) {
-    case CompareOp::kLt:
-      return a < threshold;
-    case CompareOp::kLe:
-      return a <= threshold;
-    case CompareOp::kGt:
-      return a > threshold;
-    case CompareOp::kGe:
-      return a >= threshold;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 CodedConjunction CodedConjunction::Compile(const SelectionQuery& query,

@@ -29,6 +29,22 @@
 
 namespace aimq {
 
+/// `a op threshold` for a range operator (false for any other operator).
+inline bool RangeMatches(CompareOp op, double a, double threshold) {
+  switch (op) {
+    case CompareOp::kLt:
+      return a < threshold;
+    case CompareOp::kLe:
+      return a <= threshold;
+    case CompareOp::kGt:
+      return a > threshold;
+    case CompareOp::kGe:
+      return a >= threshold;
+    default:
+      return false;
+  }
+}
+
 /// \brief A SelectionQuery pre-resolved to integer codes for one relation.
 ///
 /// Holds a pointer to the ColumnarRelation it was compiled against; the

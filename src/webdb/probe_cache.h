@@ -18,14 +18,20 @@
 // answer covers. Within a lineage a smaller snapshot is a row prefix of a
 // larger one, so a lookup against a source with N rows finds one of:
 //   - covered == N: a plain hit;
-//   - covered < N: the source evaluates only rows [covered, N)
-//     (WebDatabase::ExecuteRowsFrom), the delta's matches are appended and
-//     the entry is stored at N — re-stamped without a copy when the delta
-//     matches nothing. Counted as a hit and in `extended`;
+//   - covered < N (an extension): the source evaluates only rows
+//     [covered, N), straight from the key (WebDatabase::ExecuteKeyFrom: no
+//     SelectionQuery, no validation, no compile), the delta's matches are
+//     appended and the entry is stored at N — re-stamped without a copy
+//     when the delta matches nothing. Counted as a hit and in `extended`;
 //   - covered > N (a reader still on an older snapshot): the rows below N
 //     are served and the entry is left alone.
-// A failed delta is returned to the caller and never cached; the entry
-// keeps its old coverage.
+// The fallback rule is one predicate, ProbeKey::CanError: an extension of a
+// key holding a term whose evaluation can fail (an unknown attribute, a
+// 'like', a range that is not a number bounding a numeric attribute) builds
+// its query with make_query() and evaluates the delta through
+// WebDatabase::ExecuteRowsFrom; CanError's comment says why. A failed delta
+// is returned to the caller and never cached; the entry keeps its old
+// coverage.
 //
 // The cache is safe for concurrent Execute() calls — the engine's parallel
 // relaxation fan-out and concurrent query sessions share one instance. It is
@@ -133,7 +139,8 @@ class ProbeCache {
 
   /// ExecuteRows for a caller that already holds the probe's \p key (which
   /// must equal ProbeKey::ForQuery(*db.columnar(), make_query())):
-  /// \p make_query() is called only when the source must be probed.
+  /// \p make_query() is called only on a miss, or on an extension of a key
+  /// that can fail (ProbeKey::CanError).
   template <typename MakeQuery>
   Result<SharedRows> ExecuteRows(const WebDatabase& db, const ProbeKey& key,
                                  MakeQuery&& make_query, bool* hit = nullptr);
@@ -279,9 +286,14 @@ Result<SharedRows> ProbeCache::ExecuteRows(const WebDatabase& db,
                 ShareRows(db.ExecuteRows(make_query())));
   }
   if (claim.covered > rows) return RowsBelow(claim.cached, rows);
+  // An extension: the delta rows are evaluated straight from the key unless
+  // one of its terms can fail (the fallback rule, ProbeKey::CanError).
+  Result<std::vector<uint32_t>> delta =
+      key.CanError(db.schema())
+          ? db.ExecuteRowsFrom(make_query(), claim.covered)
+          : db.ExecuteKeyFrom(key, claim.covered);
   return Fill(key, rows, claim.flight,
-              AppendRows(claim.cached,
-                         db.ExecuteRowsFrom(make_query(), claim.covered)));
+              AppendRows(claim.cached, std::move(delta)));
 }
 
 }  // namespace aimq

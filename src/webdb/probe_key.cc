@@ -9,33 +9,26 @@
 namespace aimq {
 namespace {
 
-// Operand kinds of a term's head word.
-enum TermKind : uint64_t {
-  kCodeTerm = 0,  // dictionary code, held in the head word's low 32 bits
-  kNullTerm = 1,  // null operand
-  kNumTerm = 2,   // double bit pattern in the next word
-  kStrTerm = 3,   // string bytes in the following words
-};
-
 // Attribute field of a predicate on an attribute the schema does not name;
 // the name's bytes follow the operand.
-constexpr uint64_t kUnknownAttr = 0xFFFFFF;
+constexpr uint64_t kUnknownAttr = ProbeKey::kUnknownAttr;
 
 // Head word: attribute (24 bits) | operator (4) | kind (4) | code (32).
 // Attribute-major, so ascending heads order terms by (attribute, operator).
-uint64_t Head(uint64_t attr, CompareOp op, TermKind kind, ValueId code = 0) {
+uint64_t Head(uint64_t attr, CompareOp op, ProbeKey::TermKind kind,
+              ValueId code = 0) {
   return (std::min(attr, kUnknownAttr) << 40) |
          (static_cast<uint64_t>(op) << 36) | (kind << 32) | code;
 }
 
 // One predicate before sorting.
-struct Term {
+struct RawTerm {
   uint64_t head = 0;
   uint64_t payload = 0;    // kNumTerm: double bits
   std::string_view str;    // kStrTerm operand
   std::string_view name;   // unknown attribute
 
-  bool operator<(const Term& other) const {
+  bool operator<(const RawTerm& other) const {
     return std::tie(head, payload, str, name) <
            std::tie(other.head, other.payload, other.str, other.name);
   }
@@ -95,10 +88,10 @@ ProbeKey ProbeKey::Builder::Finish() && {
 
 ProbeKey ProbeKey::ForQuery(const ColumnarRelation& cols,
                             const SelectionQuery& query) {
-  std::vector<Term> terms;
+  std::vector<RawTerm> terms;
   terms.reserve(query.NumPredicates());
   for (const Predicate& p : query.predicates()) {
-    Term t;
+    RawTerm t;
     uint64_t attr = kUnknownAttr;
     if (auto index = cols.schema().IndexOf(p.attribute); index.ok()) {
       attr = index.ValueOrDie();
@@ -126,7 +119,7 @@ ProbeKey ProbeKey::ForQuery(const ColumnarRelation& cols,
   std::sort(terms.begin(), terms.end());
 
   Builder b(cols);
-  for (const Term& t : terms) {
+  for (const RawTerm& t : terms) {
     b.Push(t.head);
     const uint64_t kind = (t.head >> 32) & 0xF;
     if (kind == kNumTerm) b.Push(t.payload);
@@ -134,6 +127,44 @@ ProbeKey ProbeKey::ForQuery(const ColumnarRelation& cols,
     if ((t.head >> 40) == kUnknownAttr) b.PushBytes(t.name);
   }
   return std::move(b).Finish();
+}
+
+ProbeKey::TermReader::TermReader(const ProbeKey& key)
+    : pos_(key.words() + std::min<size_t>(key.size(), 1)),  // past the lineage
+      end_(key.words() + key.size()) {}
+
+bool ProbeKey::TermReader::Next(Term* term) {
+  if (pos_ == end_) return false;
+  const uint64_t head = *pos_++;
+  term->attr = head >> 40;
+  term->op = static_cast<CompareOp>((head >> 36) & 0xF);
+  term->kind = static_cast<TermKind>((head >> 32) & 0xF);
+  term->code = static_cast<ValueId>(head);
+  if (term->kind == kNumTerm) term->num = std::bit_cast<double>(*pos_++);
+  if (term->kind == kStrTerm) SkipBytes();
+  if (term->attr == kUnknownAttr) SkipBytes();
+  return true;
+}
+
+void ProbeKey::TermReader::SkipBytes() {
+  const uint64_t bytes = *pos_++;
+  pos_ += (bytes + 7) / 8;
+}
+
+bool ProbeKey::Term::CanError(const Schema& schema) const {
+  if (attr == kUnknownAttr || op == CompareOp::kLike) return true;
+  if (op == CompareOp::kEq || kind == kNullTerm) return false;
+  return kind != kNumTerm ||
+         schema.attribute(attr).type != AttrType::kNumeric;
+}
+
+bool ProbeKey::CanError(const Schema& schema) const {
+  TermReader terms(*this);
+  Term t;
+  while (terms.Next(&t)) {
+    if (t.CanError(schema)) return true;
+  }
+  return false;
 }
 
 ProbeKey::ProbeKey(const ProbeKey& other) { CopyFrom(other); }

@@ -20,6 +20,11 @@
 // Keys up to kInlineWords words (every CarDB probe) live inline, and the
 // hash is computed once when the key is finished, outside any cache lock: a
 // cache hit costs one hash-table probe and no allocation.
+//
+// The words also decode back into terms (TermReader), which is what lets a
+// source evaluate a cached probe's delta rows straight from its key
+// (WebDatabase::ExecuteKeyFrom). CanError is the one rule that decides when
+// it may not: see its comment.
 
 #ifndef AIMQ_WEBDB_PROBE_KEY_H_
 #define AIMQ_WEBDB_PROBE_KEY_H_
@@ -30,6 +35,7 @@
 
 #include "query/selection_query.h"
 #include "relation/columnar.h"
+#include "relation/schema.h"
 
 namespace aimq {
 
@@ -37,8 +43,36 @@ namespace aimq {
 class ProbeKey {
  public:
   static constexpr size_t kInlineWords = 16;
+  /// Attribute field of a term on an attribute the schema does not name.
+  static constexpr size_t kUnknownAttr = 0xFFFFFF;
 
   class Builder;
+  class TermReader;
+
+  /// How a term's operand is held, in the kind field of its head word.
+  enum TermKind : uint64_t {
+    kCodeTerm = 0,  ///< dictionary code, in the head word's low 32 bits
+    kNullTerm = 1,  ///< null operand
+    kNumTerm = 2,   ///< double bit pattern in the next word
+    kStrTerm = 3,   ///< string bytes in the following words
+  };
+
+  /// One predicate of a key, as TermReader decodes it. Its operand is a
+  /// dictionary code (equality on a value the snapshot holds), null, a
+  /// double (range bounds, and equality on a number the dictionary does
+  /// not hold), or a string the dictionary does not hold (its bytes are not
+  /// decoded).
+  struct Term {
+    size_t attr = 0;  ///< kUnknownAttr for a name the schema lacks
+    CompareOp op = CompareOp::kEq;
+    TermKind kind = kCodeTerm;
+    ValueId code = 0;  ///< kCodeTerm
+    double num = 0.0;  ///< kNumTerm
+
+    /// True when evaluating this term against \p schema's rows can fail:
+    /// the per-term test of ProbeKey::CanError.
+    bool CanError(const Schema& schema) const;
+  };
 
   ProbeKey() = default;
   ProbeKey(const ProbeKey& other);
@@ -58,6 +92,26 @@ class ProbeKey {
   size_t hash() const { return hash_; }
   /// Number of 64-bit words.
   size_t size() const { return size_; }
+
+  /// The fallback rule of key-native evaluation: true when evaluating some
+  /// term against \p schema's rows can fail (Term::CanError). That is a
+  /// term on an unknown attribute or with a 'like' operator (the source
+  /// rejects both), or a range whose operand is not a number or whose
+  /// attribute is not numeric (it fails on every non-null row it reaches).
+  /// A query's evaluation stops at its first false predicate, so which of
+  /// its failing predicates is reached depends on query order, which the
+  /// key's sorted terms do not keep: such keys are evaluated from their
+  /// SelectionQuery.
+  /// Every other term evaluates the same in any order and never fails:
+  ///   - a code equality compares the row's code;
+  ///   - a numeric range on a numeric attribute compares the row's number,
+  ///     false on null rows (numeric attributes hold only numbers:
+  ///     ValidateTuple);
+  ///   - a null operand, and equality on a string or number the dictionary
+  ///     does not hold, match no row: the key was built against the
+  ///     snapshot it is evaluated on, and a value its dictionary does not
+  ///     hold is held by none of its rows.
+  bool CanError(const Schema& schema) const;
 
   bool operator==(const ProbeKey& other) const;
 
@@ -103,6 +157,24 @@ class ProbeKey::Builder {
   void PushBytes(std::string_view bytes);
 
   ProbeKey key_;
+};
+
+/// Decodes a key's terms in key order: ForQuery's layout read back, with the
+/// bytes of string operands and unknown attribute names skipped (they only
+/// keep distinct keys apart). The reader borrows the key's words: the key
+/// must outlive it.
+class ProbeKey::TermReader {
+ public:
+  explicit TermReader(const ProbeKey& key);
+
+  /// Decodes the next term into \p term; false after the last one.
+  bool Next(Term* term);
+
+ private:
+  void SkipBytes();
+
+  const uint64_t* pos_;
+  const uint64_t* end_;
 };
 
 /// Hash functor returning the key's precomputed hash.

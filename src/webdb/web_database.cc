@@ -129,6 +129,97 @@ Result<std::vector<uint32_t>> WebDatabase::ExecuteRowsFrom(
   return out;
 }
 
+Result<std::vector<uint32_t>> WebDatabase::ExecuteKeyFrom(
+    const ProbeKey& key, size_t from_row) const {
+  // A key that cannot fail holds code equalities and numeric ranges, tested
+  // per row in any order; any other term it holds (a null operand, equality
+  // on a value this snapshot's dictionary lacks) matches no row. Each test
+  // reads column `column` of one scan over the key's attributes.
+  struct CodeTest {
+    size_t column;
+    ValueId code;
+  };
+  struct RangeTest {
+    size_t column;
+    size_t attr;
+    CompareOp op;
+    double bound;
+  };
+  std::vector<size_t> attrs;
+  const auto column_of = [&attrs](size_t attr) {
+    const auto it = std::find(attrs.begin(), attrs.end(), attr);
+    if (it != attrs.end()) return static_cast<size_t>(it - attrs.begin());
+    attrs.push_back(attr);
+    return attrs.size() - 1;
+  };
+  std::vector<CodeTest> eqs;
+  std::vector<RangeTest> ranges;
+  bool matches_nothing = false;
+  ProbeKey::TermReader terms(key);
+  ProbeKey::Term t;
+  while (terms.Next(&t)) {
+    if (t.CanError(schema())) {
+      return Status::InvalidArgument(
+          "source '" + name_ +
+          "' cannot evaluate a probe key whose terms can fail; evaluate its "
+          "query with ExecuteRowsFrom");
+    }
+    if (t.kind == ProbeKey::kCodeTerm) {
+      eqs.push_back({column_of(t.attr), t.code});
+    } else if (t.kind == ProbeKey::kNumTerm && t.op != CompareOp::kEq) {
+      ranges.push_back({column_of(t.attr), t.attr, t.op, t.num});
+    } else {
+      matches_nothing = true;
+    }
+  }
+
+  std::vector<uint32_t> out;
+  if (matches_nothing) {
+    AccountProbe(0);
+    return out;
+  }
+  if (attrs.empty()) {
+    // No terms: every row matches.
+    const uint32_t n = static_cast<uint32_t>(cols_->NumRows());
+    for (uint32_t row = static_cast<uint32_t>(from_row); row < n; ++row) {
+      out.push_back(row);
+    }
+  } else {
+    // One sequential scan of the key's attributes over the rows
+    // [from_row, NumRows()); packed sources decode each block once.
+    const auto matches = [&](const ColumnarRelation::CodeWindow& w,
+                             size_t i) {
+      for (const CodeTest& e : eqs) {
+        if (w.codes[e.column][i] != e.code) return false;
+      }
+      for (const RangeTest& r : ranges) {
+        const ValueId code = w.codes[r.column][i];
+        if (code == ValueDict::kNullCode ||
+            !RangeMatches(r.op, cols_->NumAt(r.attr, w.begin_row + i, code),
+                          r.bound)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    ColumnarRelation::WindowCursor cursor =
+        cols_->ScanBlocks(std::move(attrs), from_row);
+    ColumnarRelation::CodeWindow w;
+    while (cursor.Next(&w)) {
+      // Most rows fail the first equality: test it before the rest.
+      const ValueId* lead = eqs.empty() ? nullptr : w.codes[eqs[0].column];
+      for (size_t i = 0; i < w.num_rows; ++i) {
+        if (lead != nullptr && lead[i] != eqs[0].code) continue;
+        if (matches(w, i)) {
+          out.push_back(static_cast<uint32_t>(w.begin_row + i));
+        }
+      }
+    }
+  }
+  AccountProbe(out.size());
+  return out;
+}
+
 Result<std::vector<Tuple>> WebDatabase::Execute(
     const SelectionQuery& query) const {
   AIMQ_ASSIGN_OR_RETURN(std::vector<uint32_t> rows, ExecuteRows(query));

@@ -11,7 +11,9 @@
 // candidate scan is driven from per-code posting lists, so per-row work is
 // integer comparison. ExecuteRows is the primary (row-id) entry point; the
 // Tuple-returning Execute is a materializing wrapper kept for edges (wire
-// protocol, reports, data collection).
+// protocol, reports, data collection). ExecuteKeyFrom answers a probe-cache
+// extension straight from the cached probe's ProbeKey: no SelectionQuery,
+// no validation, no compile.
 
 #ifndef AIMQ_WEBDB_WEB_DATABASE_H_
 #define AIMQ_WEBDB_WEB_DATABASE_H_
@@ -26,6 +28,7 @@
 #include "relation/columnar.h"
 #include "relation/relation.h"
 #include "util/status.h"
+#include "webdb/probe_key.h"
 
 namespace aimq {
 
@@ -59,7 +62,8 @@ struct ProbeStats {
 /// adapters can substitute other transports (an HTTP form scraper, a flaky
 /// source for failure-injection tests) behind the same probing interface.
 /// Overriding ExecuteRows covers both full-probe entry points: the default
-/// Execute routes through it.
+/// Execute routes through it. Cache extensions of keys that cannot fail
+/// reach ExecuteKeyFrom instead, which is virtual too.
 class WebDatabase {
  public:
   /// Takes ownership of the hidden relation. \p name labels the source
@@ -133,6 +137,22 @@ class WebDatabase {
   /// probes, and deltas still scan this source's own snapshot.
   virtual Result<std::vector<uint32_t>> ExecuteRowsFrom(
       const SelectionQuery& query, size_t from_row) const;
+
+  /// Key-native delta: the rows [from_row, NumTuples()) matching \p key,
+  /// ascending — exactly what ExecuteRowsFrom(query, from_row) returns for
+  /// any query with ProbeKey::ForQuery(*columnar(), query) == key. The
+  /// terms are decoded from the key's words and tested on one sequential
+  /// scan (ScanBlocks) of the key's attributes over those rows: a code
+  /// equality against the row's code, a numeric range against its number
+  /// (null rows fail it); a term that matches nothing at this snapshot
+  /// empties the answer without a scan. A key holding a term that can fail
+  /// (ProbeKey::CanError) is refused with InvalidArgument: evaluate its
+  /// query with ExecuteRowsFrom. Accounted like a probe. ProbeCache calls
+  /// it for every extension of a key that cannot fail; an override can fail
+  /// it (fault injection). The shard facade does not override it: it
+  /// evaluates against its own snapshot, which is the source's.
+  virtual Result<std::vector<uint32_t>> ExecuteKeyFrom(const ProbeKey& key,
+                                                       size_t from_row) const;
 
   /// Executes a precise conjunctive query and returns the matching tuples —
   /// ExecuteRows materialized through the dictionaries.

@@ -344,5 +344,46 @@ TEST_F(LiveEngineTest, ShardCountersSurvivePublishes) {
   }
 }
 
+// Every version's packed shards read block stores of their own, yet the
+// block-cache counters the metrics export carry over a publish: a counter
+// that restarted would read one query's worth after it, below the three
+// queries' worth before.
+TEST_F(LiveEngineTest, BlockCacheCountersSurvivePublishes) {
+  LiveOptions lopts;
+  lopts.engine = *options_;
+  lopts.engine.probe_cache_capacity = 0;  // every probe reads the blocks
+  lopts.shards.num_shards = 3;
+  lopts.shards.packed_shards = true;
+  lopts.shards.shard_cache_capacity = 0;
+  auto live = LiveEngine::Create(db_, *knowledge_, lopts);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*live)->Acquire()->engine->Answer(ModelQuery("Camry")).ok());
+  }
+  const auto before = (*live)->Acquire()->facade->ShardBlockStats();
+  ASSERT_EQ(before.size(), 3u);
+  for (const auto& [shard, stats] : before) {
+    ASSERT_GT(stats.cache.hits + stats.cache.misses, 0u) << "shard " << shard;
+  }
+
+  ASSERT_TRUE((*live)->Ingest(DeltaRows(0, 40)).ok());
+  ASSERT_TRUE((*live)->PublishSnapshot().ok());
+  ASSERT_TRUE((*live)->Acquire()->engine->Answer(ModelQuery("Camry")).ok());
+  const auto after = (*live)->Acquire()->facade->ShardBlockStats();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "shard " << i);
+    const storage::BlockCache::Stats& was = before[i].second.cache;
+    const storage::BlockCache::Stats& now = after[i].second.cache;
+    EXPECT_EQ(after[i].first, before[i].first);
+    EXPECT_GE(now.hits, was.hits);
+    EXPECT_GE(now.misses, was.misses);
+    EXPECT_GE(now.evictions, was.evictions);
+    EXPECT_GE(now.decode_nanos, was.decode_nanos);
+    // The new version's stores decoded blocks of their own on top.
+    EXPECT_GT(now.hits + now.misses, was.hits + was.misses);
+  }
+}
+
 }  // namespace
 }  // namespace aimq

@@ -63,6 +63,51 @@ class GatedDb : public WebDatabase {
   bool released_ = false;  // guarded by mu_
 };
 
+// A source whose key-native delta path (ExecuteKeyFrom) blocks on a gate and
+// then fails until told to recover; it counts the query-path deltas
+// (ExecuteRowsFrom) that reach it as well.
+class FailingDeltaDb : public WebDatabase {
+ public:
+  FailingDeltaDb(std::string name,
+                 std::shared_ptr<const ColumnarRelation> cols)
+      : WebDatabase(std::move(name), std::move(cols)) {}
+
+  Result<std::vector<uint32_t>> ExecuteKeyFrom(
+      const ProbeKey& key, size_t from_row) const override {
+    ++key_calls_;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return released_; });
+    }
+    if (failing_.load()) return Status::Unavailable("injected delta failure");
+    return WebDatabase::ExecuteKeyFrom(key, from_row);
+  }
+
+  Result<std::vector<uint32_t>> ExecuteRowsFrom(
+      const SelectionQuery& query, size_t from_row) const override {
+    ++query_calls_;
+    return WebDatabase::ExecuteRowsFrom(query, from_row);
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  void Recover() { failing_.store(false); }
+
+  int key_calls() const { return key_calls_.load(); }
+  int query_calls() const { return query_calls_.load(); }
+
+ private:
+  std::atomic<bool> failing_{true};
+  mutable std::atomic<int> key_calls_{0};
+  mutable std::atomic<int> query_calls_{0};
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool released_ = false;  // guarded by mu_
+};
+
 Relation SmallCarDb() {
   CarDbSpec spec;
   spec.num_tuples = 200;
@@ -209,6 +254,67 @@ void CheckLeaderErrorReachesEveryFollowerAndIsNotCached(size_t capacity) {
 
 TEST(ProbeCoalescingTest, LeaderErrorReachesEveryFollowerAndIsNotCached) {
   AtEveryStripeCount(CheckLeaderErrorReachesEveryFollowerAndIsNotCached);
+}
+
+void CheckFailedNativeDeltaReachesEveryFollowerAndKeepsTheEntry(
+    size_t capacity) {
+  // ToyotaQuery's key is one code equality, so its extensions take the
+  // key-native path; that path fails at v1 while the followers are parked.
+  const WebDatabase v0("CarDB", SmallCarDb());
+  FailingDeltaDb v1("CarDB", PublishToyota(v0));
+  ProbeCache cache(capacity);
+  cache.EnableCoalescing(true);
+  auto old_rows = cache.ExecuteRows(v0, ToyotaQuery());
+  ASSERT_TRUE(old_rows.ok());
+
+  constexpr size_t kSessions = 4;
+  std::vector<Result<SharedRows>> results(
+      kSessions, Status::Internal("not run"));
+  std::vector<std::thread> sessions;
+  StartSessions(&cache, &v1, 0, kSessions, &results, &sessions);
+  ASSERT_TRUE(WaitFor([&] { return v1.key_calls() == 1; }));
+  ASSERT_TRUE(
+      WaitFor([&] { return cache.InFlightWaiters() == kSessions - 1; }));
+  v1.Release();
+  for (std::thread& t : sessions) t.join();
+
+  // The leader's typed error reached every session; one delta evaluation
+  // ran, and none took the query path.
+  EXPECT_EQ(v1.key_calls(), 1);
+  EXPECT_EQ(v1.query_calls(), 0);
+  for (size_t i = 0; i < kSessions; ++i) {
+    ASSERT_FALSE(results[i].ok()) << "session " << i;
+    EXPECT_EQ(results[i].status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(results[i].status().message(), "injected delta failure");
+  }
+  ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.extended, 1u);
+  EXPECT_EQ(stats.coalesced, kSessions - 1);
+
+  // The error was not cached and the entry kept its v0 coverage: v0 still
+  // hits its own list, and the next v1 lookup extends it again.
+  EXPECT_EQ(cache.size(), 1u);
+  bool hit = false;
+  auto older = cache.ExecuteRows(v0, ToyotaQuery(), &hit);
+  ASSERT_TRUE(older.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(older->get(), old_rows->get());
+  v1.Recover();
+  auto newer = cache.ExecuteRows(v1, ToyotaQuery(), &hit);
+  ASSERT_TRUE(newer.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(v1.key_calls(), 2);
+  EXPECT_EQ(cache.stats().extended, 2u);
+  const auto expected = v1.WebDatabase::ExecuteRows(ToyotaQuery());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(**newer, *expected);
+  EXPECT_EQ(newer->get()->size(), old_rows->get()->size() + 1);
+}
+
+TEST(ProbeCoalescingTest,
+     FailedNativeDeltaReachesEveryFollowerAndKeepsTheEntry) {
+  AtEveryStripeCount(
+      CheckFailedNativeDeltaReachesEveryFollowerAndKeepsTheEntry);
 }
 
 void CheckFollowersParkedAcrossVersionSwapGetLeaderAnswer(size_t capacity) {
