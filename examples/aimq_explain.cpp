@@ -90,12 +90,15 @@ void PrintTree(const ImpreciseQuery& query, const QueryResponse& response) {
   PrintPhase("├─", "base_set", p.base_set_seconds, p.total_seconds, "");
   std::snprintf(buf, sizeof(buf),
                 "probes: %llu issued, %llu cache-served, %llu deduped, "
-                "%llu coalesced, depth %llu",
+                "%llu coalesced, depth %llu; expansions: %llu (%llu "
+                "memoized)",
                 static_cast<unsigned long long>(p.probes_issued),
                 static_cast<unsigned long long>(p.cache_hits),
                 static_cast<unsigned long long>(p.deduped_probes),
                 static_cast<unsigned long long>(p.coalesced_probes),
-                static_cast<unsigned long long>(p.relax_depth));
+                static_cast<unsigned long long>(p.relax_depth),
+                static_cast<unsigned long long>(p.expansions),
+                static_cast<unsigned long long>(p.expansions_reused));
   PrintPhase("├─", "relax", p.relax_seconds, p.total_seconds, buf);
   std::snprintf(buf, sizeof(buf), "tuples: %llu extracted, %llu relevant",
                 static_cast<unsigned long long>(p.tuples_extracted),

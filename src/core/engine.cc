@@ -53,6 +53,7 @@ AimqEngine::AimqEngine(const WebDatabase* source, MinedKnowledge knowledge,
       options_(options),
       sim_(&source->schema(), &knowledge_.ordering, &knowledge_.vsim,
            options.numeric_sim),
+      memo_(options.probe_cache_capacity / kMemoEntriesPerProbeEntry),
       answer_cache_(0) {
   if (options_.probe_cache_capacity > 0) {
     probe_cache_ = std::make_shared<ProbeCache>(options_.probe_cache_capacity);
@@ -265,6 +266,11 @@ size_t AimqEngine::answer_cache_size() const {
   return answer_cache_.size();
 }
 
+size_t AimqEngine::expansion_memo_size() const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  return memo_.size();
+}
+
 AimqEngine::TupleExpansion AimqEngine::ExpandBaseTuple(
     const CodedSimilarityFunction::EncodedQuery& enc_query, uint32_t base_row,
     size_t base_index, RelaxationStrategy strategy, RelaxationStats* stats,
@@ -274,6 +280,33 @@ AimqEngine::TupleExpansion AimqEngine::ExpandBaseTuple(
   span.AddArg("base_index", static_cast<double>(base_index));
   const ColumnarRelation& cols = *coded_sim_.cols();
   TupleExpansion out;
+  if (stats != nullptr) ++stats->expansions;
+
+  // A memoized expansion only needs scoring against Q. The capacity is
+  // fixed at construction, so it is read without the lock.
+  const bool memoizable =
+      strategy == RelaxationStrategy::kGuided && memo_.capacity() > 0;
+  if (memoizable) {
+    std::shared_ptr<const MemoizedExpansion> memo;
+    {
+      std::lock_guard<std::mutex> lock(memo_mu_);
+      if (const auto* hit = memo_.Get(base_row)) memo = *hit;
+    }
+    span.AddArg("memo_hit", memo != nullptr ? 1.0 : 0.0);
+    if (memo != nullptr) {
+      out.offers.reserve(memo->rows.size());
+      for (const uint32_t canon : memo->rows) {
+        out.offers.emplace_back(canon, coded_sim_.Score(enc_query, canon));
+      }
+      if (stats != nullptr) {
+        ++stats->expansions_reused;
+        stats->tuples_relevant += memo->tuples_relevant;
+        stats->NoteRelaxDepth(memo->relax_depth);
+      }
+      return out;
+    }
+  }
+
   std::unordered_set<uint32_t> offered;
   auto offer = [&](uint32_t row) {
     const uint32_t canon = cols.CanonicalRow(row);
@@ -301,6 +334,7 @@ AimqEngine::TupleExpansion AimqEngine::ExpandBaseTuple(
   TupleRelaxer relaxer(source_->schema(), tuple, std::move(order),
                        options_.max_relax_attrs, options_.numeric_band);
   size_t relevant_for_tuple = 0;
+  size_t depth = 0;
   while (relaxer.HasNext()) {
     if (options_.relax_stop_after > 0 &&
         relevant_for_tuple >= options_.relax_stop_after) {
@@ -313,6 +347,7 @@ AimqEngine::TupleExpansion AimqEngine::ExpandBaseTuple(
       break;
     }
     const std::vector<size_t> relaxed_attrs = relaxer.NextRelaxedAttrs();
+    depth = std::max(depth, relaxed_attrs.size());
     if (stats != nullptr) stats->NoteRelaxDepth(relaxed_attrs.size());
     bool fresh = false;
     Result<SharedRows> extracted = Probe(
@@ -337,6 +372,18 @@ AimqEngine::TupleExpansion AimqEngine::ExpandBaseTuple(
         offer(candidate);
       }
     }
+  }
+  // Only a complete expansion is the pure function the memo stands for; a
+  // failed one returned above. Two workers expanding the same row store
+  // the same data, so the last store wins.
+  if (memoizable && !out.truncated) {
+    auto memo = std::make_shared<MemoizedExpansion>();
+    memo->rows.reserve(out.offers.size());
+    for (const auto& [canon, score] : out.offers) memo->rows.push_back(canon);
+    memo->tuples_relevant = relevant_for_tuple;
+    memo->relax_depth = depth;
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    memo_.Put(base_row, std::move(memo));
   }
   return out;
 }
@@ -418,11 +465,15 @@ Result<std::vector<RankedAnswer>> AimqEngine::AnswerUncached(
   // bit-identical to the serial path at any thread count.
   PhaseTimer phase(stats == nullptr ? nullptr : &stats->rank_seconds);
   TraceSpan span(trace_, "similarity_rank", "engine", trace_id);
-  std::unordered_set<uint32_t> pool;  // canonical rows: equality of tuples
+  // Pooled canonical rows (equality of tuples), one bit per source row.
+  std::vector<uint64_t> pooled((coded_sim_.cols()->NumRows() + 63) / 64);
   TopK<uint32_t> topk(options_.top_k);
   for (const TupleExpansion& e : expansions) {
     for (const auto& [candidate, score] : e.offers) {
-      if (!pool.insert(candidate).second) continue;
+      uint64_t& word = pooled[candidate >> 6];
+      const uint64_t bit = uint64_t{1} << (candidate & 63);
+      if ((word & bit) != 0) continue;
+      word |= bit;
       topk.Add(score, candidate);
     }
   }
@@ -516,12 +567,17 @@ Result<std::vector<double>> AimqEngine::ApplyFeedback(
       feedback.Round(sim_, source_->schema(), query_tuple, judged,
                      knowledge_.WimpVector()));
   AIMQ_RETURN_NOT_OK(knowledge_.ordering.SetWimp(updated));
-  // Rankings under the old weights are stale.
+  // Rankings under the old weights are stale, and so are expansions: their
+  // Tsim test scores with the weights.
   {
     std::lock_guard<std::mutex> lock(answer_cache_mu_);
     const size_t capacity = answer_cache_.capacity();
     answer_cache_.Clear();
     answer_cache_.set_capacity(capacity);
+  }
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    memo_.Clear();
   }
   return knowledge_.WimpVector();
 }

@@ -73,6 +73,12 @@ class ShardRanker {
 ///  - deduped_probes:  logical probes answered without a fresh source probe
 ///                     (shared-cache hits plus per-call memo hits when the
 ///                     shared cache is disabled)
+///  - expansions:      base tuples Answer() expanded (steps 3-8 run or
+///                     replayed once per base tuple)
+///  - expansions_reused: of those, expansions answered from the engine's
+///                     expansion memo: no probe, no key, no relaxer (their
+///                     tuples_relevant and depth are replayed, their probes
+///                     are not counted because none ran)
 ///
 /// The `*_seconds` phase timers are written only by the coordinating thread
 /// of Answer() (base-set derivation / relaxation fan-out / ranking). Each
@@ -85,6 +91,8 @@ struct RelaxationStats {
   std::atomic<uint64_t> tuples_relevant{0};
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> deduped_probes{0};
+  std::atomic<uint64_t> expansions{0};
+  std::atomic<uint64_t> expansions_reused{0};
   /// Deepest relaxation any probe of this run reached (attributes relaxed by
   /// the weakest query issued). A running max, not a sum.
   std::atomic<uint64_t> max_relax_depth{0};
@@ -106,6 +114,11 @@ struct RelaxationStats {
                      std::memory_order_relaxed);
     deduped_probes.store(other.deduped_probes.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
+    expansions.store(other.expansions.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    expansions_reused.store(
+        other.expansions_reused.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
     max_relax_depth.store(
         other.max_relax_depth.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
@@ -131,6 +144,9 @@ struct RelaxationStats {
     tuples_relevant += other.tuples_relevant.load(std::memory_order_relaxed);
     cache_hits += other.cache_hits.load(std::memory_order_relaxed);
     deduped_probes += other.deduped_probes.load(std::memory_order_relaxed);
+    expansions += other.expansions.load(std::memory_order_relaxed);
+    expansions_reused +=
+        other.expansions_reused.load(std::memory_order_relaxed);
     NoteRelaxDepth(other.max_relax_depth.load(std::memory_order_relaxed));
     base_set_seconds += other.base_set_seconds;
     relax_seconds += other.relax_seconds;
@@ -148,6 +164,23 @@ struct RelaxationStats {
 
 /// \brief Answers imprecise queries over one autonomous source using mined
 /// knowledge.
+///
+/// Expansion memo. Under GuidedRelax, Algorithm 1's steps 3-8 for one base
+/// tuple (relax it in the mined order, probe, keep the tuples above Tsim)
+/// are a pure function of the base row, the source snapshot and the
+/// knowledge edition; only step 9's Sim(Q, t) depends on Q. The engine
+/// keeps the completed expansions of recently expanded base rows, keyed by
+/// row id: the canonical rows offered in discovery order, the expansion's
+/// tuples_relevant count and its deepest relaxation. A repeated base row
+/// rebuilds its offers by scoring each stored row against Q — the same
+/// Score call a computed expansion makes — so answers are bit-identical,
+/// and the hit costs no probe. The memo lives and dies with the engine: a
+/// LiveEngine builds one engine per (snapshot, knowledge) version, so no
+/// entry outlives its version, and ApplyFeedback clears it. Only complete
+/// GuidedRelax expansions are stored (RandomRelax orders depend on the
+/// base-set position; a truncated or failed expansion is partial). Its
+/// bound follows from the probe cache's: see kMemoEntriesPerProbeEntry.
+/// FindSimilar never uses it.
 class AimqEngine {
  public:
   /// \p source must outlive the engine; \p knowledge is what BuildKnowledge
@@ -227,7 +260,8 @@ class AimqEngine {
   /// Relevance-feedback tuning (paper §7 future work): folds the user's
   /// re-ranking of one answer list into the attribute importance weights.
   /// Returns the updated, normalized weight vector; subsequent queries rank
-  /// with the tuned weights. Invalidates the answer cache.
+  /// with the tuned weights. Invalidates the answer cache and the expansion
+  /// memo.
   Result<std::vector<double>> ApplyFeedback(
       const RelevanceFeedback& feedback, const Tuple& query_tuple,
       const std::vector<JudgedAnswer>& judged);
@@ -242,6 +276,16 @@ class AimqEngine {
     return answer_cache_hits_.load(std::memory_order_relaxed);
   }
   size_t answer_cache_size() const;
+
+  /// The expansion memo's bound: one memoized expansion per this many
+  /// probe-cache entries (options().probe_cache_capacity). A 2^18-entry
+  /// probe cache keeps 16,384 expansions, more than the ~6.7k base rows a
+  /// 400-query Zipf catalog over 50k CarDB rows expands; a 1024-entry one
+  /// keeps 64; a disabled probe cache (capacity 0) disables the memo, which
+  /// is what keeps a serial reference engine an independent oracle.
+  static constexpr size_t kMemoEntriesPerProbeEntry = 16;
+  /// Expansions currently memoized (testing/diagnostics).
+  size_t expansion_memo_size() const;
 
   /// Replaces the shared probe cache. Sharing one ProbeCache across engines
   /// over the same source dedupes relaxation probes across sessions; pass
@@ -289,6 +333,14 @@ class AimqEngine {
     std::unordered_map<ProbeKey, SharedRows, ProbeKeyHash> memo;
   };
 
+  // A completed GuidedRelax expansion of one base row, as the memo keeps
+  // it: everything TupleExpansion holds except the Q-dependent scores.
+  struct MemoizedExpansion {
+    std::vector<uint32_t> rows;  // canonical rows offered, discovery order
+    uint64_t tuples_relevant = 0;
+    uint64_t relax_depth = 0;  // deepest relaxation probed
+  };
+
   // One base tuple's contribution to the candidate pool, produced by a
   // worker of the relaxation fan-out and merged in base-set order.
   struct TupleExpansion {
@@ -322,7 +374,8 @@ class AimqEngine {
                                 RelaxationStats* stats, ProbeContext* ctx,
                                 bool* fresh, uint64_t trace_id);
 
-  // Algorithm 1 steps 2-8 for one base tuple (runs on a worker thread).
+  // Algorithm 1 steps 2-8 for one base tuple (runs on a worker thread),
+  // replayed from the expansion memo when it holds \p base_row.
   // \p enc_query is Q pre-encoded against the source's columnar snapshot,
   // shared read-only by all workers of one Answer() call.
   TupleExpansion ExpandBaseTuple(
@@ -355,6 +408,11 @@ class AimqEngine {
   // Probe dedup layer shared by every query this engine (and any engine
   // sharing the pointer) answers.
   std::shared_ptr<ProbeCache> probe_cache_;
+  // Expansion memo: base row -> its completed GuidedRelax expansion (see
+  // the class comment). LRU, guarded by memo_mu_; entries are shared so a
+  // hit copies a handle under the lock and scores outside it.
+  mutable std::mutex memo_mu_;
+  LruCache<uint32_t, std::shared_ptr<const MemoizedExpansion>> memo_;
   // Answer cache: key = query rendering (GuidedRelax only). LRU, guarded by
   // answer_cache_mu_ so concurrent Answer() calls are safe.
   mutable std::mutex answer_cache_mu_;

@@ -49,8 +49,9 @@ Result<std::shared_ptr<ShardedWebDatabase>> LiveEngine::BuildFacade(
 
 std::unique_ptr<AimqEngine> LiveEngine::BuildEngine(
     const ShardedWebDatabase* facade, const KnowledgeVersion& kv) const {
-  // Each version gets its own engine (fresh answer cache: cached answers
-  // are version-specific) over a *copy* of the knowledge edition.
+  // Each version gets its own engine over a *copy* of the knowledge
+  // edition, and with it an empty expansion memo: memoized expansions are
+  // version-specific (serving never enables the answer cache).
   auto engine =
       std::make_unique<AimqEngine>(facade, kv.knowledge, options_.engine);
   engine->SetShardRanker(facade);

@@ -59,6 +59,10 @@ Json QueryProfile::ToJson() const {
           Json::Num(static_cast<double>(tuples_extracted)));
   out.Set("tuples_relevant", Json::Num(static_cast<double>(tuples_relevant)));
   out.Set("relax_depth", Json::Num(static_cast<double>(relax_depth)));
+  Json expanded = Json::Obj();
+  expanded.Set("total", Json::Num(static_cast<double>(expansions)));
+  expanded.Set("reused", Json::Num(static_cast<double>(expansions_reused)));
+  out.Set("expansions", std::move(expanded));
   if (has_deltas) {
     Json shards = Json::Arr();
     for (const auto& [shard, rows] : shard_rows) {

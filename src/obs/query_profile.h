@@ -55,6 +55,11 @@ struct QueryProfile {
   /// this request issued.
   uint64_t relax_depth = 0;
 
+  /// Base tuples expanded, and how many of those the engine's expansion
+  /// memo answered (no probe ran for them).
+  uint64_t expansions = 0;
+  uint64_t expansions_reused = 0;
+
   // -- Cross-request deltas, filled by the explain handler only (zero for
   //    plain queries): subsystem counters sampled around the call. --------
   /// (shard index, tuples that shard shipped for this request).
@@ -80,7 +85,8 @@ struct QueryProfile {
   std::string DominantPhase() const;
 
   /// {"total_ms":..,"phases":{"queue_ms":..,...},"dominant_phase":..,
-  ///  "probes":{...},"relax_depth":..[,"shards":[...],"blocks_decoded":..]}
+  ///  "probes":{...},"relax_depth":..,"expansions":{"total":..,"reused":..}
+  ///  [,"shards":[...],"blocks_decoded":..]}
   Json ToJson() const;
 };
 

@@ -92,6 +92,22 @@ class ServiceMetrics {
     relax_depth_[bucket].fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Base tuples one finished request expanded, \p reused of them from the
+  /// engine's expansion memo. Summed here, per response, so the totals stay
+  /// monotone across snapshot publishes (each version has its own engine
+  /// and memo).
+  void OnExpansions(uint64_t total, uint64_t reused) {
+    expansions_memo_hit_.fetch_add(reused, std::memory_order_relaxed);
+    expansions_memo_miss_.fetch_add(total - reused,
+                                    std::memory_order_relaxed);
+  }
+  uint64_t expansions_memo_hit() const {
+    return expansions_memo_hit_.load(std::memory_order_relaxed);
+  }
+  uint64_t expansions_memo_miss() const {
+    return expansions_memo_miss_.load(std::memory_order_relaxed);
+  }
+
   /// Per-depth request counts (index = depth, last bucket = overflow).
   std::array<uint64_t, kRelaxDepthBuckets> RelaxDepthSnapshot() const {
     std::array<uint64_t, kRelaxDepthBuckets> out{};
@@ -145,6 +161,8 @@ class ServiceMetrics {
   LatencyHistogram phase_relax_;
   LatencyHistogram phase_rank_;
   std::array<std::atomic<uint64_t>, kRelaxDepthBuckets> relax_depth_{};
+  std::atomic<uint64_t> expansions_memo_hit_{0};
+  std::atomic<uint64_t> expansions_memo_miss_{0};
   mutable std::mutex tenants_mu_;
   std::map<std::string, TenantCounters> tenants_;  // guarded by tenants_mu_
 };

@@ -62,6 +62,15 @@ void EmitServiceMetrics(const ServiceMetrics& metrics, Emitter* out) {
                  "(attributes relaxed simultaneously in the deepest probe).",
                  static_cast<double>(depths[d]), {{"depth", depth}});
   }
+  const char* const kExpansionsHelp =
+      "Base tuples expanded by answered requests, by whether the engine's "
+      "expansion memo answered them (hit) or their probes ran (miss).";
+  out->Counter("aimq_relax_expansions_total", kExpansionsHelp,
+               static_cast<double>(metrics.expansions_memo_hit()),
+               {{"memo", "hit"}});
+  out->Counter("aimq_relax_expansions_total", kExpansionsHelp,
+               static_cast<double>(metrics.expansions_memo_miss()),
+               {{"memo", "miss"}});
 }
 
 void EmitProbeCache(const ProbeCacheStats& stats, Emitter* out) {

@@ -38,7 +38,7 @@ namespace aimq {
 /// Request/latency/phase families plus the relaxation-depth counters
 /// (aimq_requests_*, aimq_request_latency_seconds, aimq_queue_wait_seconds,
 /// aimq_phase_*_seconds, aimq_relax_depth_requests_total{depth="0".."15",
-/// "16+"}).
+/// "16+"}, aimq_relax_expansions_total{memo="hit"|"miss"}).
 void EmitServiceMetrics(const ServiceMetrics& metrics,
                         obs::MetricsRegistry::Emitter* out);
 

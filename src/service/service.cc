@@ -379,9 +379,14 @@ void AimqService::RunRequest(Request request) {
       response.stats.tuples_relevant.load(std::memory_order_relaxed);
   profile.relax_depth =
       response.stats.max_relax_depth.load(std::memory_order_relaxed);
+  profile.expansions =
+      response.stats.expansions.load(std::memory_order_relaxed);
+  profile.expansions_reused =
+      response.stats.expansions_reused.load(std::memory_order_relaxed);
   profile.truncated = truncated;
   profile.FinishPhases();
   metrics_.OnRelaxDepth(profile.relax_depth);
+  metrics_.OnExpansions(profile.expansions, profile.expansions_reused);
   if (tracing) {
     // The whole request, submit to completion — the root of the span tree.
     TraceEvent e;

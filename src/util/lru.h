@@ -1,10 +1,8 @@
-// Intrusive-list LRU cache. One implementation backs both caching layers of
-// the query path: the engine's Answer() result cache and the probe cache in
-// front of WebDatabase::Execute (src/webdb/probe_cache.h). Each key is
-// stored once, in its list node; the hash index points at it. Not thread-safe
-// by itself — callers that share an LruCache across threads wrap it in a
-// mutex (ProbeCache holds one LruCache per stripe, each behind the stripe's
-// own mutex).
+// List-backed LRU cache: the engine's Answer() result cache and its
+// expansion memo (src/core/engine.h). Each key is stored once, in its list
+// node; the hash index points at it. Not thread-safe by itself — callers
+// that share an LruCache across threads wrap it in a mutex. (The probe cache
+// keeps its own single-allocation table instead: src/webdb/probe_cache.h.)
 
 #ifndef AIMQ_UTIL_LRU_H_
 #define AIMQ_UTIL_LRU_H_

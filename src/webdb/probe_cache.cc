@@ -1,6 +1,8 @@
 #include "webdb/probe_cache.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <utility>
 
 namespace aimq {
@@ -19,8 +21,113 @@ ProbeCache::ProbeCache(size_t capacity)
   // Split evenly; the first `capacity % stripes` stripes take one more.
   const size_t n = stripes_.size();
   for (size_t i = 0; i < n; ++i) {
-    stripes_[i].cache.set_capacity(capacity / n + (i < capacity % n ? 1 : 0));
+    stripes_[i].table.set_capacity(capacity / n + (i < capacity % n ? 1 : 0));
   }
+}
+
+bool ProbeCache::Node::Matches(const ProbeKey& key) const {
+  return hash == key.hash() && num_words == key.size() &&
+         std::memcmp(words(), key.data(), num_words * sizeof(uint64_t)) == 0;
+}
+
+ProbeCache::Node* ProbeCache::Table::Peek(const ProbeKey& key) const {
+  if (buckets_.empty()) return nullptr;
+  Node* node = buckets_[key.hash() & (buckets_.size() - 1)];
+  while (node != nullptr && !node->Matches(key)) node = node->chain;
+  return node;
+}
+
+ProbeCache::Node* ProbeCache::Table::Get(const ProbeKey& key) {
+  Node* node = Peek(key);
+  if (node != nullptr && node != newest_) {
+    Unlink(node);
+    PushNewest(node);
+  }
+  return node;
+}
+
+uint64_t ProbeCache::Table::Store(const ProbeKey& key, const SharedRows& rows,
+                                  size_t covered) {
+  if (capacity_ == 0) return 0;
+  if (Node* resident = Peek(key)) {
+    if (resident->covered >= covered) return 0;
+    resident->rows = rows;
+    resident->covered = static_cast<uint32_t>(covered);
+    Unlink(resident);
+    PushNewest(resident);
+    return 0;
+  }
+  // The key's words follow the node; sizeof(Node) is a multiple of their
+  // alignment.
+  static_assert(sizeof(Node) % alignof(uint64_t) == 0);
+  void* memory = ::operator new(sizeof(Node) + key.size() * sizeof(uint64_t));
+  Node* node = new (memory) Node();
+  node->hash = key.hash();
+  node->rows = rows;
+  node->covered = static_cast<uint32_t>(covered);
+  node->num_words = static_cast<uint32_t>(key.size());
+  std::memcpy(reinterpret_cast<uint64_t*>(node + 1), key.data(),
+              key.size() * sizeof(uint64_t));
+  if (size_ >= buckets_.size()) Grow();
+  Node*& head = buckets_[node->hash & (buckets_.size() - 1)];
+  node->chain = head;
+  head = node;
+  PushNewest(node);
+  ++size_;
+  uint64_t evicted = 0;
+  while (size_ > capacity_) {
+    EvictOldest();
+    ++evicted;
+  }
+  return evicted;
+}
+
+void ProbeCache::Table::Clear() {
+  for (Node* node = newest_; node != nullptr;) {
+    Node* older = node->older;
+    node->~Node();
+    ::operator delete(node);
+    node = older;
+  }
+  newest_ = oldest_ = nullptr;
+  size_ = 0;
+  buckets_.clear();
+  buckets_.shrink_to_fit();
+}
+
+void ProbeCache::Table::Unlink(Node* node) {
+  (node->newer != nullptr ? node->newer->older : newest_) = node->older;
+  (node->older != nullptr ? node->older->newer : oldest_) = node->newer;
+  node->newer = node->older = nullptr;
+}
+
+void ProbeCache::Table::PushNewest(Node* node) {
+  node->older = newest_;
+  node->newer = nullptr;
+  (newest_ != nullptr ? newest_->newer : oldest_) = node;
+  newest_ = node;
+}
+
+void ProbeCache::Table::EvictOldest() {
+  Node* node = oldest_;
+  Unlink(node);
+  Node** link = &buckets_[node->hash & (buckets_.size() - 1)];
+  while (*link != node) link = &(*link)->chain;
+  *link = node->chain;
+  --size_;
+  node->~Node();
+  ::operator delete(node);
+}
+
+void ProbeCache::Table::Grow() {
+  std::vector<Node*> grown(buckets_.empty() ? 8 : buckets_.size() * 2,
+                           nullptr);
+  for (Node* node = newest_; node != nullptr; node = node->older) {
+    Node*& head = grown[node->hash & (grown.size() - 1)];
+    node->chain = head;
+    head = node;
+  }
+  buckets_.swap(grown);
 }
 
 ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, size_t rows,
@@ -29,7 +136,7 @@ ProbeCache::Claim ProbeCache::Acquire(const ProbeKey& key, size_t rows,
   Stripe& stripe = stripes_[StripeIndex(key)];
   std::unique_lock<std::mutex> lock(stripe.mu);
   ++stripe.stats.lookups;
-  if (const Entry* cached = stripe.cache.Get(key)) {
+  if (const Node* cached = stripe.table.Get(key)) {
     ++stripe.stats.hits;
     if (hit != nullptr) *hit = true;
     if (cached->covered == rows) {
@@ -106,12 +213,7 @@ Result<SharedRows> ProbeCache::Fill(const ProbeKey& key, size_t rows,
   if (answer.ok()) {
     // Keep whichever answer covers more rows: a reader on an older
     // snapshot must not shrink an entry a newer reader already extended.
-    const Entry* resident = stripe.cache.Peek(key);
-    if (resident == nullptr || resident->covered < rows) {
-      const uint64_t before = stripe.cache.evictions();
-      stripe.cache.Put(key, Entry{*answer, rows});
-      stripe.stats.evictions += stripe.cache.evictions() - before;
-    }
+    stripe.stats.evictions += stripe.table.Store(key, *answer, rows);
   }
   return answer;
 }
@@ -128,13 +230,13 @@ bool ProbeCache::Contains(const WebDatabase& db,
   const ProbeKey key = ProbeKey::ForQuery(*db.columnar(), query);
   const Stripe& stripe = stripes_[StripeIndex(key)];
   std::lock_guard<std::mutex> lock(stripe.mu);
-  return stripe.cache.Peek(key) != nullptr;
+  return stripe.table.Peek(key) != nullptr;
 }
 
 void ProbeCache::Clear() {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.cache.Clear();
+    stripe.table.Clear();
     stripe.stats = ProbeCacheStats{};
   }
 }
@@ -160,7 +262,7 @@ size_t ProbeCache::size() const {
   size_t size = 0;
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
-    size += stripe.cache.size();
+    size += stripe.table.size();
   }
   return size;
 }

@@ -46,7 +46,18 @@
 // LRU. Whole-cache reads (stats(), size(), InFlightWaiters()) and Clear()
 // visit the stripes one at a time.
 //
-// A stripe's mutex guards only map bookkeeping (a hash-table probe on the
+// Entry layout. An entry is one allocation (Node): the stripe's LRU links,
+// the link to the next node of its hash bucket, the key's precomputed hash,
+// the answer's coverage, the row-list handle, and then the key's words at
+// their exact length (an average CarDB relaxation key is about 10 words, so
+// nothing is padded out to ProbeKey's 16 inline words). A stripe's table is
+// those nodes plus one array of bucket heads, grown by doubling while the
+// stripe fills. A hit reads the bucket head, the node (hash, length, words,
+// rows handle in one or two cache lines), splices the node to the front of
+// the LRU list and bumps the rows' refcount: no separate hash-map node, no
+// separate list node, no copy of the key.
+//
+// A stripe's mutex guards only table bookkeeping (a bucket walk on the
 // key's precomputed hash, a recency splice, a refcount bump), never the
 // source probe, key construction, or row allocation: two threads that miss
 // the same key simultaneously may both probe the source (the second insert
@@ -79,7 +90,6 @@
 #include <vector>
 
 #include "query/selection_query.h"
-#include "util/lru.h"
 #include "webdb/probe_key.h"
 #include "webdb/web_database.h"
 
@@ -206,10 +216,60 @@ class ProbeCache {
     }
   };
 
-  // Cached answer: ascending row ids over the first `covered` source rows.
-  struct Entry {
+  // One cached answer, in a single allocation: ascending row ids over the
+  // first `covered` source rows, the table's links, and the key's words,
+  // which follow the node in memory (num_words of them).
+  struct Node {
+    Node* newer = nullptr;  // LRU neighbors; the table's head is the newest
+    Node* older = nullptr;
+    Node* chain = nullptr;  // next node of the same bucket
+    uint64_t hash = 0;      // the key's precomputed hash
     SharedRows rows;
-    size_t covered = 0;
+    uint32_t covered = 0;  // row ids are 32-bit, so row counts fit
+    uint32_t num_words = 0;
+
+    const uint64_t* words() const {
+      return reinterpret_cast<const uint64_t*>(this + 1);
+    }
+    bool Matches(const ProbeKey& key) const;
+  };
+
+  // A stripe's entries: an exact LRU list and chained hash buckets, both
+  // threaded through the nodes. Not thread-safe; the stripe's mutex guards
+  // it.
+  class Table {
+   public:
+    Table() = default;
+    ~Table() { Clear(); }
+    Table(const Table&) = delete;
+    Table& operator=(const Table&) = delete;
+
+    void set_capacity(size_t capacity) { capacity_ = capacity; }
+    size_t size() const { return size_; }
+
+    // The key's node, or nullptr. Get refreshes its recency; Peek does not.
+    Node* Get(const ProbeKey& key);
+    Node* Peek(const ProbeKey& key) const;
+    // Stores \p rows over \p covered source rows under \p key unless a
+    // resident entry already covers as many rows; a store refreshes
+    // recency and evicts the least recently used entries past capacity.
+    // Returns the number evicted.
+    uint64_t Store(const ProbeKey& key, const SharedRows& rows,
+                   size_t covered);
+    // Frees every node.
+    void Clear();
+
+   private:
+    void Unlink(Node* node);        // from the LRU list
+    void PushNewest(Node* node);    // onto the LRU list's head
+    void EvictOldest();             // unlinks from both and frees
+    void Grow();                    // doubles the buckets, rehashing
+
+    size_t capacity_ = 0;
+    size_t size_ = 0;
+    Node* newest_ = nullptr;
+    Node* oldest_ = nullptr;
+    std::vector<Node*> buckets_;  // a power-of-two count, or empty
   };
 
   // Outcome of the locked lookup: served (a hit, or a parked follower's
@@ -228,8 +288,8 @@ class ProbeCache {
   // stripes' mutexes and counters never share a cache line.
   struct alignas(64) Stripe {
     mutable std::mutex mu;
-    LruCache<ProbeKey, Entry, ProbeKeyHash> cache;  // guarded by mu
-    ProbeCacheStats stats;                          // guarded by mu
+    Table table;            // guarded by mu
+    ProbeCacheStats stats;  // guarded by mu
     // In-flight probes of this stripe's keys; entries are shared so a
     // flight outlives its map slot while followers still hold it. Guarded
     // by mu; followers wait on the flight's cv with mu held (released

@@ -92,6 +92,9 @@ class ProbeKey {
   size_t hash() const { return hash_; }
   /// Number of 64-bit words.
   size_t size() const { return size_; }
+  /// The key's words, size() of them (ProbeCache stores them at their
+  /// exact length).
+  const uint64_t* data() const { return words(); }
 
   /// The fallback rule of key-native evaluation: true when evaluating some
   /// term against \p schema's rows can fail (Term::CanError). That is a

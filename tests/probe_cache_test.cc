@@ -607,5 +607,146 @@ TEST(ProbeCacheTest, ClearStatsAndSizeRaceWithStripedHits) {
   EXPECT_LE(cache.size(), kKeys);
 }
 
+// A source that answers every query, whatever its predicates name, with a
+// one-row list holding its call number: distinct keys get distinct lists,
+// and a hit returns the list of the call that cached it.
+class EchoDb : public WebDatabase {
+ public:
+  using WebDatabase::WebDatabase;
+  Result<std::vector<uint32_t>> ExecuteRows(
+      const SelectionQuery&) const override {
+    return std::vector<uint32_t>{calls_++};
+  }
+
+ private:
+  mutable std::atomic<uint32_t> calls_{0};
+};
+
+TEST(ProbeCacheTableTest, KeysPastTheInlineWordsStayDistinct) {
+  EchoDb db("ToyDB", Relation(TwoColumnSchema()));
+  ProbeCache cache(16);
+  const std::string long_value(200, 'v');
+  const std::string long_name(150, 'n');
+  // Pairs that differ only in their last byte: a string operand the
+  // dictionary does not hold, and an attribute the schema does not name.
+  const std::vector<SelectionQuery> queries = {
+      SelectionQuery({Predicate::Eq("Make", Value::Cat(long_value + "x"))}),
+      SelectionQuery({Predicate::Eq("Make", Value::Cat(long_value + "y"))}),
+      SelectionQuery({Predicate::Eq(long_name + "1", Value::Cat("Camry"))}),
+      SelectionQuery({Predicate::Eq(long_name + "2", Value::Cat("Camry"))}),
+  };
+  std::vector<SharedRows> first;
+  for (const SelectionQuery& q : queries) {
+    EXPECT_GT(ProbeKey::ForQuery(*db.columnar(), q).size(),
+              ProbeKey::kInlineWords);
+    bool hit = true;
+    auto rows = cache.ExecuteRows(db, q, &hit);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_FALSE(hit);
+    first.push_back(*rows);
+  }
+  EXPECT_EQ(cache.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(cache.Contains(db, queries[i]));
+    bool hit = false;
+    auto rows = cache.ExecuteRows(db, queries[i], &hit);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(rows->get(), first[i].get()) << "query " << i;
+    EXPECT_EQ(**rows, std::vector<uint32_t>{static_cast<uint32_t>(i)});
+  }
+  const ProbeCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, queries.size());
+  EXPECT_EQ(stats.hits, queries.size());
+}
+
+TEST(ProbeCacheTableTest, OneWordKeyIsCachedAndHit) {
+  EchoDb db("ToyDB", Relation(TwoColumnSchema()));
+  ProbeCache cache(4);
+  const SelectionQuery everything;
+  ASSERT_EQ(ProbeKey::ForQuery(*db.columnar(), everything).size(), 1u);
+  bool hit = true;
+  auto miss = cache.ExecuteRows(db, everything, &hit);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(hit);
+  auto again = cache.ExecuteRows(db, everything, &hit);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again->get(), miss->get());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.Contains(db, everything));
+  // A one-predicate key is a different entry.
+  ASSERT_TRUE(cache.ExecuteRows(db, MakeQuery("Toyota"), &hit).ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ProbeCacheTableTest, EvictionIsExactLruWithinEachStripe) {
+  // Two stripes of 4096 entries; a key's stripe is its hash's bit 32.
+  constexpr size_t kStripeEntries = 4096;
+  const WebDatabase db = PriceDb(4);
+  ProbeCache cache(2 * kStripeEntries);
+  ASSERT_EQ(ProbeCache::StripeCount(2 * kStripeEntries), 2u);
+  std::vector<SelectionQuery> stripe[2];
+  for (size_t i = 0; stripe[0].size() < kStripeEntries + 3; ++i) {
+    SelectionQuery q = PriceBelow(i);
+    const size_t s = (ProbeKey::ForQuery(*db.columnar(), q).hash() >> 32) & 1;
+    if (s == 0 || stripe[1].size() < 3) stripe[s].push_back(std::move(q));
+  }
+  const std::vector<SelectionQuery>& full = stripe[0];
+  for (const SelectionQuery& q : stripe[1]) {
+    ASSERT_TRUE(cache.ExecuteRows(db, q).ok());
+  }
+  for (size_t i = 0; i < kStripeEntries; ++i) {
+    ASSERT_TRUE(cache.ExecuteRows(db, full[i]).ok());
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.size(), kStripeEntries + 3);
+
+  // A hit refreshes the oldest entry; Contains does not refresh the next.
+  bool hit = false;
+  ASSERT_TRUE(cache.ExecuteRows(db, full[0], &hit).ok());
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(cache.Contains(db, full[2]));
+  // Each new key of the full stripe evicts that stripe's least recently
+  // used entry, in order: full[1], then full[2], then full[3].
+  for (size_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(cache.ExecuteRows(db, full[kStripeEntries + k]).ok());
+    EXPECT_EQ(cache.stats().evictions, k + 1);
+    EXPECT_FALSE(cache.Contains(db, full[k + 1])) << "round " << k;
+    EXPECT_TRUE(cache.Contains(db, full[0])) << "round " << k;
+    EXPECT_TRUE(cache.Contains(db, full[k + 2])) << "round " << k;
+  }
+  // The other stripe, far below its share, lost nothing.
+  for (const SelectionQuery& q : stripe[1]) EXPECT_TRUE(cache.Contains(db, q));
+  EXPECT_EQ(cache.size(), kStripeEntries + 3);
+}
+
+TEST(ProbeCacheTableTest, ClearFreesEveryEntryAndTheTableRefills) {
+  constexpr size_t kKeys = 3000;
+  const WebDatabase db = PriceDb(8);
+  ProbeCache cache(1 << 14);  // four stripes
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < kKeys; ++i) {
+      bool hit = true;
+      ASSERT_TRUE(cache.ExecuteRows(db, PriceBelow(i), &hit).ok());
+      EXPECT_FALSE(hit) << "pass " << pass << " key " << i;
+    }
+    EXPECT_EQ(cache.size(), kKeys);
+    for (size_t i = 0; i < kKeys; i += 97) {
+      EXPECT_TRUE(cache.Contains(db, PriceBelow(i)));
+    }
+    cache.Clear();
+    EXPECT_EQ(cache.size(), 0u);
+    for (size_t i = 0; i < kKeys; i += 97) {
+      EXPECT_FALSE(cache.Contains(db, PriceBelow(i)));
+    }
+    const ProbeCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.lookups, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace aimq

@@ -79,6 +79,17 @@ TEST(PrometheusTest, ZeroStateEmitsAllFamiliesWithoutNaN) {
   EXPECT_EQ(text.back(), '\n');
 }
 
+TEST(PrometheusTest, ExpansionCountersSplitByMemoOutcome) {
+  ServiceMetrics metrics;
+  metrics.OnExpansions(20, 15);
+  metrics.OnExpansions(10, 0);
+  const std::string text = ScrapeText(metrics, nullptr);
+  EXPECT_EQ(SampleValues(text, "aimq_relax_expansions_total{memo=\"hit\"}"),
+            std::vector<double>{15.0});
+  EXPECT_EQ(SampleValues(text, "aimq_relax_expansions_total{memo=\"miss\"}"),
+            std::vector<double>{15.0});
+}
+
 TEST(PrometheusTest, CountersReflectMetricsState) {
   ServiceMetrics metrics;
   metrics.OnAccepted();

@@ -88,6 +88,17 @@ TEST(QueryProfileTest, ToJsonCarriesPhasesAndDeltas) {
   EXPECT_TRUE(shards->is_array());
 }
 
+TEST(QueryProfileTest, ToJsonCarriesExpansions) {
+  obs::QueryProfile p;
+  p.expansions = 20;
+  p.expansions_reused = 17;
+  const Json json = p.ToJson();
+  const Json* expansions = json.Find("expansions");
+  ASSERT_NE(expansions, nullptr) << json.Dump();
+  EXPECT_DOUBLE_EQ(expansions->Find("total")->AsNum(), 20.0);
+  EXPECT_DOUBLE_EQ(expansions->Find("reused")->AsNum(), 17.0);
+}
+
 TEST(WireExplainTest, ParseExplainOp) {
   auto parsed = ParseWireRequest(
       "{\"op\":\"explain\",\"q\":\"Q(Model like Camry)\",\"deadline_ms\":100,"
@@ -230,6 +241,26 @@ TEST_F(ExplainServiceTest, SlowLogCarriesDepthAndBudgetAttribution) {
   EXPECT_TRUE(phase == "queue" || phase == "base_set" || phase == "relax" ||
               phase == "rank" || phase == "other")
       << phase;
+}
+
+TEST_F(ExplainServiceTest, RepeatedQueryReusesItsExpansions) {
+  ImpreciseQuery query;
+  query.Bind("Make", Value::Cat("Ford"));
+  const uint64_t hits_before = service_->metrics().expansions_memo_hit();
+  const uint64_t misses_before = service_->metrics().expansions_memo_miss();
+  auto first = service_->Execute(query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = service_->Execute(query);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const obs::QueryProfile& p = second->profile;
+  EXPECT_GT(p.expansions, 0u);
+  EXPECT_EQ(p.expansions_reused, p.expansions);
+  EXPECT_EQ(p.expansions, first->profile.expansions);
+  // The service counters sum what each response reported.
+  EXPECT_EQ(service_->metrics().expansions_memo_hit() - hits_before,
+            first->profile.expansions_reused + p.expansions_reused);
+  EXPECT_EQ(service_->metrics().expansions_memo_miss() - misses_before,
+            first->profile.expansions - first->profile.expansions_reused);
 }
 
 TEST_F(ExplainServiceTest, RelaxDepthFeedsServiceHistogram) {
