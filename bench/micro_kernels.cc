@@ -40,6 +40,7 @@
 #include "afd/tane.h"
 #include "bench_util.h"
 #include "datagen/cardb.h"
+#include "oracles/row_oracles.h"
 #include "query/selection_query.h"
 #include "relation/columnar.h"
 #include "rock/rock.h"
@@ -47,7 +48,6 @@
 #include "simd/dispatch.h"
 #include "similarity/supertuple.h"
 #include "similarity/value_similarity.h"
-#include "util/bag.h"
 #include "util/coded_bag.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -106,7 +106,7 @@ void BM_PartitionBuildRow(benchmark::State& state) {
   const Relation& r = CarSample(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        StrippedPartition::FromColumnRowStore(r, CarDbGenerator::kModel));
+        RowStorePartition(r, CarDbGenerator::kModel));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(r.NumTuples()));
@@ -230,7 +230,7 @@ void BM_ProbeScanRow(benchmark::State& state) {
   const Relation& r = CarSample(static_cast<size_t>(state.range(0)));
   const SelectionQuery q = ProbeQuery();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(q.Evaluate(r));
+    benchmark::DoNotOptimize(ScanEvaluate(q, r));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(r.NumTuples()));

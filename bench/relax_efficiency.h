@@ -128,7 +128,9 @@ inline int RunRelaxEfficiency(RelaxationStrategy strategy,
   title += " (CarDB 100k)";
   PrintHeader(title);
 
-  WebDatabase db("CarDB", FullCarDb());
+  // The generated relation doubles as ground truth for picking probe tuples.
+  const Relation hidden = FullCarDb();
+  WebDatabase db("CarDB", hidden);
   AimqOptions options = CarDbOptions();
   options.collector.sample_size = 25000;  // learn from a 25k probed sample
   auto knowledge = BuildKnowledge(db, options);
@@ -141,7 +143,6 @@ inline int RunRelaxEfficiency(RelaxationStrategy strategy,
 
   // 10 random probe tuples, the same ones for every threshold and strategy
   // (fixed seed).
-  const Relation& hidden = db.hidden_relation_for_testing();
   Rng rng(41);
   std::vector<size_t> probe_rows = rng.SampleWithoutReplacement(
       hidden.NumTuples(), 10);

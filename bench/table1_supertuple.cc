@@ -43,7 +43,7 @@ int main() {
   bool consistent = true;
   for (size_t attr = 0; attr < data.schema().NumAttributes(); ++attr) {
     if (attr == CarDbGenerator::kMake) continue;
-    if (supertuple->bag(attr).TotalSize() != supertuple->support()) {
+    if (supertuple->coded_bag(attr).TotalSize() != supertuple->support()) {
       consistent = false;
     }
   }

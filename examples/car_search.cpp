@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "core/engine.h"
-#include "core/impute.h"
 #include "core/knowledge.h"
 #include "datagen/cardb.h"
 #include "similarity/similarity_graph.h"
@@ -137,25 +136,5 @@ int main(int argc, char** argv) {
               "shipped\n",
               static_cast<unsigned long long>(cardb.stats().queries_issued),
               static_cast<unsigned long long>(cardb.stats().tuples_returned));
-
-  // --- Bonus: the mined AFDs also repair missing values. ---------------------
-  AfdImputer imputer(&engine.knowledge().sample,
-                     &engine.knowledge().dependencies);
-  std::vector<Value> incomplete(7);
-  incomplete[CarDbGenerator::kModel] = Value::Cat("Camry");
-  incomplete[CarDbGenerator::kYear] = Value::Cat("2001");
-  incomplete[CarDbGenerator::kPrice] = Value::Num(9500);
-  Tuple listing(std::move(incomplete));
-  auto imputations = imputer.ImputeTuple(&listing);
-  if (imputations.ok() && !imputations->empty()) {
-    std::printf("\nImputation demo — a listing with missing fields:\n");
-    for (const Imputation& imp : *imputations) {
-      std::printf("  %s := %s  (rule %s, confidence %.2f, %zu samples)\n",
-                  cardb.schema().attribute(imp.attr).name.c_str(),
-                  imp.value.ToString().c_str(),
-                  imp.rule.ToString(cardb.schema()).c_str(), imp.confidence,
-                  imp.evidence);
-    }
-  }
   return 0;
 }

@@ -66,27 +66,10 @@ StrippedPartition StrippedPartition::FromColumnCoded(
   for (auto& rows : buckets) {
     if (rows.size() >= 2) classes.push_back(std::move(rows));
   }
-  // Deterministic class order (by first row), matching the row-store build.
+  // Deterministic class order (by first row).
   std::sort(classes.begin(), classes.end(),
             [](const auto& a, const auto& b) { return a[0] < b[0]; });
   return StrippedPartition(data.NumRows(), std::move(classes));
-}
-
-StrippedPartition StrippedPartition::FromColumnRowStore(
-    const Relation& relation, size_t attr_index) {
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> groups;
-  groups.reserve(relation.NumTuples());
-  for (size_t r = 0; r < relation.NumTuples(); ++r) {
-    groups[relation.tuple(r).At(attr_index)].push_back(r);
-  }
-  std::vector<std::vector<size_t>> classes;
-  for (auto& [value, rows] : groups) {
-    if (rows.size() >= 2) classes.push_back(std::move(rows));
-  }
-  // Deterministic class order (by first row) regardless of hash order.
-  std::sort(classes.begin(), classes.end(),
-            [](const auto& a, const auto& b) { return a[0] < b[0]; });
-  return StrippedPartition(relation.NumTuples(), std::move(classes));
 }
 
 StrippedPartition StrippedPartition::Product(

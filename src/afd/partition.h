@@ -19,6 +19,10 @@ class StrippedPartition {
  public:
   StrippedPartition() = default;
 
+  /// Wraps already-stripped \p classes over \p num_rows rows: each class
+  /// holds >= 2 ascending row ids, and classes are ordered by first row.
+  StrippedPartition(size_t num_rows, std::vector<std::vector<size_t>> classes);
+
   /// π_∅: a single class containing every row (all rows agree on ∅).
   /// With num_rows <= 1 the class would be a singleton and is stripped.
   static StrippedPartition Universe(size_t num_rows);
@@ -33,11 +37,6 @@ class StrippedPartition {
   /// As FromColumn, over an existing columnar snapshot.
   static StrippedPartition FromColumnCoded(const ColumnarRelation& data,
                                            size_t attr_index);
-
-  /// Historical row-store grouping (Value-keyed hash map). Kept as the
-  /// benchmark baseline and equivalence oracle for FromColumnCoded.
-  static StrippedPartition FromColumnRowStore(const Relation& relation,
-                                              size_t attr_index);
 
   /// π_{X∪Y} from π_X (this) and π_Y (\p other): TANE's linear-time
   /// partition product.
@@ -64,8 +63,6 @@ class StrippedPartition {
   double FdError(const StrippedPartition& lhs_rhs) const;
 
  private:
-  StrippedPartition(size_t num_rows, std::vector<std::vector<size_t>> classes);
-
   void RecomputeCovered();
 
   size_t num_rows_ = 0;

@@ -26,7 +26,6 @@
 #include "util/trace.h"
 #include "webdb/probe_cache.h"
 #include "webdb/web_database.h"
-#include "workload/query_log.h"
 
 namespace aimq {
 
@@ -218,7 +217,7 @@ class AimqEngine {
   /// derivation aborts with kCancelled / kDeadlineExceeded (there is nothing
   /// useful to return yet); cancellation during the relaxation fan-out stops
   /// probing and ranks the candidates gathered so far, returning a *partial*
-  /// top-k and setting \p truncated. Truncated results are never cached.
+  /// top-k and setting \p truncated.
   Result<std::vector<RankedAnswer>> Answer(
       const ImpreciseQuery& query,
       RelaxationStrategy strategy = RelaxationStrategy::kGuided,
@@ -260,22 +259,10 @@ class AimqEngine {
   /// Relevance-feedback tuning (paper §7 future work): folds the user's
   /// re-ranking of one answer list into the attribute importance weights.
   /// Returns the updated, normalized weight vector; subsequent queries rank
-  /// with the tuned weights. Invalidates the answer cache and the expansion
-  /// memo.
+  /// with the tuned weights. Clears the expansion memo.
   Result<std::vector<double>> ApplyFeedback(
       const RelevanceFeedback& feedback, const Tuple& query_tuple,
       const std::vector<JudgedAnswer>& judged);
-
-  /// Enables LRU caching of Answer() results for repeated identical queries
-  /// (imprecise workloads are highly repetitive). The cache is invalidated
-  /// by ApplyFeedback. 0 disables caching (the default). Thread-safe.
-  void SetAnswerCacheCapacity(size_t capacity);
-
-  /// Cache accounting (testing/diagnostics).
-  size_t answer_cache_hits() const {
-    return answer_cache_hits_.load(std::memory_order_relaxed);
-  }
-  size_t answer_cache_size() const;
 
   /// The expansion memo's bound: one memoized expansion per this many
   /// probe-cache entries (options().probe_cache_capacity). A 2^18-entry
@@ -303,11 +290,6 @@ class AimqEngine {
 
   /// Adjusts the relaxation fan-out width (see AimqOptions::num_threads).
   void SetNumThreads(size_t num_threads) { options_.num_threads = num_threads; }
-
-  /// Attaches a query log: every valid Answer() call is recorded (the
-  /// workload later feeds query-driven importance, src/workload). Pass
-  /// nullptr to detach. The log must outlive the engine.
-  void AttachQueryLog(QueryLog* log) { query_log_ = log; }
 
   /// Attaches a span recorder: every Answer()/FindSimilar() phase and every
   /// probe emits a trace span tagged with the QueryControl's trace_id (0 for
@@ -389,13 +371,6 @@ class AimqEngine {
                                                   ProbeContext* ctx,
                                                   const QueryControl* control);
 
-  // Uncached Algorithm 1.
-  Result<std::vector<RankedAnswer>> AnswerUncached(const ImpreciseQuery& query,
-                                                   RelaxationStrategy strategy,
-                                                   RelaxationStats* stats,
-                                                   const QueryControl* control,
-                                                   bool* truncated);
-
   const WebDatabase* source_;
   MinedKnowledge knowledge_;
   AimqOptions options_;
@@ -413,13 +388,6 @@ class AimqEngine {
   // hit copies a handle under the lock and scores outside it.
   mutable std::mutex memo_mu_;
   LruCache<uint32_t, std::shared_ptr<const MemoizedExpansion>> memo_;
-  // Answer cache: key = query rendering (GuidedRelax only). LRU, guarded by
-  // answer_cache_mu_ so concurrent Answer() calls are safe.
-  mutable std::mutex answer_cache_mu_;
-  LruCache<std::string, std::vector<RankedAnswer>> answer_cache_;
-  std::atomic<size_t> answer_cache_hits_{0};
-  std::mutex query_log_mu_;
-  QueryLog* query_log_ = nullptr;
   // Span recorder for end-to-end tracing; nullptr = tracing off (default).
   TraceRecorder* trace_ = nullptr;
   // Shard-aware top-k executor; nullptr = the engine's own serial TopK.

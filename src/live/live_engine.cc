@@ -51,7 +51,7 @@ std::unique_ptr<AimqEngine> LiveEngine::BuildEngine(
     const ShardedWebDatabase* facade, const KnowledgeVersion& kv) const {
   // Each version gets its own engine over a *copy* of the knowledge
   // edition, and with it an empty expansion memo: memoized expansions are
-  // version-specific (serving never enables the answer cache).
+  // version-specific.
   auto engine =
       std::make_unique<AimqEngine>(facade, kv.knowledge, options_.engine);
   engine->SetShardRanker(facade);
@@ -138,8 +138,9 @@ Result<uint64_t> LiveEngine::PublishSnapshot() {
 Result<uint64_t> LiveEngine::RefreshKnowledge() {
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
   const std::shared_ptr<const ServingVersion> cur = Acquire();
-  // Mine against the serving source of the current version; rows
-  // published while mining runs simply raise the next edition's staleness.
+  // Mine against the serving source of the current version. publish_mu_
+  // stays held through mining, so publishes wait until the new edition is
+  // installed.
   AIMQ_ASSIGN_OR_RETURN(MinedKnowledge mined,
                         BuildKnowledge(*cur->source, options_.engine));
   const uint64_t new_kv = cur->knowledge->version + 1;

@@ -157,8 +157,9 @@ class LiveEngine {
 
   /// Re-mines knowledge against the current version's rows and publishes a
   /// version that shares the snapshot/source/facade but carries the new
-  /// knowledge edition (and a fresh engine). Returns the new knowledge
-  /// version.
+  /// knowledge edition (and a fresh engine). Holds the publisher mutex
+  /// through mining, so concurrent PublishSnapshot calls wait for it.
+  /// Returns the new knowledge version.
   Result<uint64_t> RefreshKnowledge();
 
   /// The probe cache shared across all versions (null when

@@ -41,17 +41,6 @@ Result<bool> SelectionQuery::Matches(const Schema& schema,
   return true;
 }
 
-Result<std::vector<size_t>> SelectionQuery::Evaluate(
-    const Relation& relation) const {
-  std::vector<size_t> rows;
-  for (size_t r = 0; r < relation.NumTuples(); ++r) {
-    AIMQ_ASSIGN_OR_RETURN(bool match,
-                          Matches(relation.schema(), relation.tuple(r)));
-    if (match) rows.push_back(r);
-  }
-  return rows;
-}
-
 std::string SelectionQuery::ToString() const {
   std::string out = "Q(";
   for (size_t i = 0; i < predicates_.size(); ++i) {

@@ -40,9 +40,6 @@ class SelectionQuery {
   /// non-executable (kLike) or ill-typed.
   Result<bool> Matches(const Schema& schema, const Tuple& tuple) const;
 
-  /// Full scan of \p relation returning matching row indices.
-  Result<std::vector<size_t>> Evaluate(const Relation& relation) const;
-
   /// "R(P1, P2, ...)"-style rendering.
   std::string ToString() const;
 

@@ -6,17 +6,6 @@
 
 namespace aimq {
 
-Bag SuperTuple::bag(size_t attr) const {
-  Bag out;
-  if (vocab_ == nullptr) return out;
-  const std::vector<std::string>& keywords = vocab_->keywords[attr];
-  const CodedBag& coded = coded_bags_[attr];
-  for (size_t e = 0; e < coded.ids().size(); ++e) {
-    out.Add(keywords[coded.ids()[e]], coded.counts()[e]);
-  }
-  return out;
-}
-
 std::string SuperTuple::ToString(const Schema& schema,
                                  size_t max_keywords) const {
   std::string out = av_.ToString(schema) + " (support " +
@@ -24,7 +13,18 @@ std::string SuperTuple::ToString(const Schema& schema,
   for (size_t i = 0; i < coded_bags_.size(); ++i) {
     if (i == av_.attr || coded_bags_[i].Empty()) continue;
     out += "  " + schema.attribute(i).name + ": ";
-    auto entries = bag(i).SortedEntries();
+    // Keyword ids are unique per label, so (label, count) pairs sort into
+    // one order: count descending, then keyword ascending.
+    std::vector<std::pair<std::string, uint64_t>> entries;
+    const CodedBag& bag = coded_bags_[i];
+    for (size_t e = 0; vocab_ != nullptr && e < bag.ids().size(); ++e) {
+      entries.emplace_back(vocab_->keywords[i][bag.ids()[e]], bag.counts()[e]);
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) {
+                if (a.second != b.second) return a.second > b.second;
+                return a.first < b.first;
+              });
     for (size_t j = 0; j < entries.size() && j < max_keywords; ++j) {
       if (j > 0) out += ", ";
       out += entries[j].first + ":" + std::to_string(entries[j].second);

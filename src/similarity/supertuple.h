@@ -10,8 +10,7 @@
 // a per-sample vocabulary (keyword ids are deduplicated by rendered label,
 // so two bins whose labels collide merge exactly as the historical
 // string-keyed bags merged them). Bag-Jaccard is then a merge of two sorted
-// (id, count) arrays. The string-keyed Bag view is still available through
-// bag() for reporting and tests; similarity estimation runs on coded_bag().
+// (id, count) arrays; the vocabulary renders ids back to keywords.
 
 #ifndef AIMQ_SIMILARITY_SUPERTUPLE_H_
 #define AIMQ_SIMILARITY_SUPERTUPLE_H_
@@ -25,7 +24,6 @@
 #include "relation/relation.h"
 #include "similarity/av_pair.h"
 #include "storage/spill_file.h"
-#include "util/bag.h"
 #include "util/coded_bag.h"
 #include "util/status.h"
 
@@ -73,13 +71,12 @@ class SuperTuple {
   /// Number of sample tuples matching the AV-pair.
   size_t support() const { return support_; }
 
-  /// Keyword bag of the attribute at \p attr (empty for the bound
-  /// attribute), materialized to strings through the vocabulary. This is the
-  /// reporting/testing view; hot paths use coded_bag().
-  Bag bag(size_t attr) const;
-
-  /// The coded bag of the attribute at \p attr.
+  /// The coded bag of the attribute at \p attr (empty for the bound
+  /// attribute).
   const CodedBag& coded_bag(size_t attr) const { return coded_bags_[attr]; }
+
+  /// The vocabulary the keyword ids index (nullptr when built without one).
+  const SuperTupleVocab* vocab() const { return vocab_.get(); }
 
   void IncrementSupport() { ++support_; }
 

@@ -1,9 +1,10 @@
-// CodedBag: the dictionary-encoded counterpart of util/bag.h. Keywords are
-// dense integer ids (attribute-dictionary codes, or bin-label ids for
-// numeric attributes); a finalized bag is a pair of parallel sorted arrays
-// (ids, counts) — structure-of-arrays so bag-Jaccard can run as a SIMD
-// merge/galloping intersection over the contiguous id array (simd/dispatch.h)
-// instead of hashing strings through an unordered_map.
+// CodedBag: the dictionary-encoded counterpart of the string-keyed Bag
+// oracle (tests/oracles/bag.h). Keywords are dense integer ids
+// (attribute-dictionary codes, or bin-label ids for numeric attributes); a
+// finalized bag is a pair of parallel sorted arrays (ids, counts) —
+// structure-of-arrays so bag-Jaccard can run as a SIMD merge/galloping
+// intersection over the contiguous id array (simd/dispatch.h) instead of
+// hashing strings through an unordered_map.
 //
 // Integer results (intersection/union sizes) are defined identically to
 // Bag's, so JaccardSimilarity performs the same single double division and

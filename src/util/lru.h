@@ -1,14 +1,13 @@
-// List-backed LRU cache: the engine's Answer() result cache and its
-// expansion memo (src/core/engine.h). Each key is stored once, in its list
-// node; the hash index points at it. Not thread-safe by itself — callers
-// that share an LruCache across threads wrap it in a mutex. (The probe cache
-// keeps its own single-allocation table instead: src/webdb/probe_cache.h.)
+// List-backed LRU cache: the engine's expansion memo (src/core/engine.h).
+// Each key is stored once, in its list node; the hash index points at it.
+// Not thread-safe by itself — callers that share an LruCache across threads
+// wrap it in a mutex. (The probe cache keeps its own single-allocation table
+// instead: src/webdb/probe_cache.h.)
 
 #ifndef AIMQ_UTIL_LRU_H_
 #define AIMQ_UTIL_LRU_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <list>
 #include <unordered_map>
@@ -27,16 +26,6 @@ class LruCache {
 
   size_t capacity() const { return capacity_; }
   size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-
-  /// Entries evicted to make room since construction / the last Clear().
-  uint64_t evictions() const { return evictions_; }
-
-  /// Shrinking evicts the least recently used entries first.
-  void set_capacity(size_t capacity) {
-    capacity_ = capacity;
-    EvictDownToCapacity();
-  }
 
   /// Pointer to the cached value (refreshed to most-recent), or nullptr on
   /// miss. The pointer is invalidated by the next non-const call.
@@ -45,12 +34,6 @@ class LruCache {
     if (it == index_.end()) return nullptr;
     items_.splice(items_.begin(), items_, it->second);
     return &it->second->second;
-  }
-
-  /// Get() without refreshing recency (diagnostics/tests).
-  const V* Peek(const K& key) const {
-    auto it = index_.find(KeyRef{&key});
-    return it == index_.end() ? nullptr : &it->second->second;
   }
 
   /// Inserts or overwrites, refreshing recency and evicting as needed.
@@ -67,19 +50,9 @@ class LruCache {
     EvictDownToCapacity();
   }
 
-  bool Erase(const K& key) {
-    auto it = index_.find(KeyRef{&key});
-    if (it == index_.end()) return false;
-    auto item = it->second;
-    index_.erase(it);
-    items_.erase(item);
-    return true;
-  }
-
   void Clear() {
     index_.clear();
     items_.clear();
-    evictions_ = 0;
   }
 
  private:
@@ -101,12 +74,10 @@ class LruCache {
     while (items_.size() > capacity_) {
       index_.erase(KeyRef{&items_.back().first});
       items_.pop_back();
-      ++evictions_;
     }
   }
 
   size_t capacity_;
-  uint64_t evictions_ = 0;
   Items items_;  // front = most recently used
   std::unordered_map<KeyRef, typename Items::iterator, KeyRefHash, KeyRefEq>
       index_;

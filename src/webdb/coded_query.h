@@ -59,7 +59,7 @@ class CodedConjunction {
   /// Conjunctive evaluation of one row; mirrors SelectionQuery::Matches.
   Result<bool> EvaluateRow(uint32_t row) const;
 
-  /// Full scan; mirrors SelectionQuery::Evaluate (row indices ascending).
+  /// Full scan: EvaluateRow over every row, matches in ascending order.
   /// With \p from_row > 0 it evaluates only rows [from_row, NumRows()) —
   /// the rows a cached answer over the first from_row rows has not seen.
   /// Iterates block windows via ColumnarRelation::ScanBlocks, so packed

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "util/bag.h"
+#include "oracles/bag.h"
 #include "util/rng.h"
 
 namespace aimq {

@@ -169,21 +169,6 @@ TEST_F(EngineCancelTest, CancelFromAnotherThreadStopsInFlightQuery) {
   }
 }
 
-TEST_F(EngineCancelTest, TruncatedAnswersAreNeverCached) {
-  auto engine = MakeSlowEngine();
-  engine->SetAnswerCacheCapacity(16);
-  QueryControl control;
-  control.SetDeadlineAfterMillis(60);
-  bool truncated = false;
-  auto partial = engine->Answer(CamryQuery(), RelaxationStrategy::kGuided,
-                                nullptr, &control, &truncated);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  ASSERT_TRUE(truncated);
-  // The partial answer must not have been cached for future callers.
-  EXPECT_EQ(engine->answer_cache_size(), 0u);
-  EXPECT_EQ(engine->answer_cache_hits(), 0u);
-}
-
 TEST_F(EngineCancelTest, ControlWithGenerousDeadlineChangesNothing) {
   // A control that never fires must leave answers bit-identical.
   AimqOptions options = *options_;

@@ -21,7 +21,8 @@ class EngineParallelTest : public ::testing::Test {
     CarDbSpec spec;
     spec.num_tuples = 5000;
     spec.seed = 7;
-    db_ = new WebDatabase("CarDB", CarDbGenerator(spec).Generate());
+    data_ = new Relation(CarDbGenerator(spec).Generate());
+    db_ = new WebDatabase("CarDB", *data_);
     options_ = new AimqOptions();
     options_->collector.sample_size = 2500;
     options_->tsim = 0.4;
@@ -34,9 +35,11 @@ class EngineParallelTest : public ::testing::Test {
     delete knowledge_;
     delete options_;
     delete db_;
+    delete data_;
     knowledge_ = nullptr;
     options_ = nullptr;
     db_ = nullptr;
+    data_ = nullptr;
   }
 
   static std::unique_ptr<AimqEngine> MakeEngine(size_t num_threads,
@@ -74,11 +77,13 @@ class EngineParallelTest : public ::testing::Test {
     }
   }
 
+  static Relation* data_;  // the generated relation: ground truth
   static WebDatabase* db_;
   static AimqOptions* options_;
   static MinedKnowledge* knowledge_;
 };
 
+Relation* EngineParallelTest::data_ = nullptr;
 WebDatabase* EngineParallelTest::db_ = nullptr;
 AimqOptions* EngineParallelTest::options_ = nullptr;
 MinedKnowledge* EngineParallelTest::knowledge_ = nullptr;
@@ -182,7 +187,7 @@ TEST_F(EngineParallelTest, SharedProbeCacheDedupesAcrossEngines) {
 
 TEST_F(EngineParallelTest, ConcurrentFindSimilarMatchesSerial) {
   auto engine = MakeEngine(1, 4096);
-  const Relation& hidden = db_->hidden_relation_for_testing();
+  const Relation& hidden = *data_;
   std::vector<size_t> anchors{11, 222, 1333, 2444, 3555, 4666};
 
   for (RelaxationStrategy strategy :

@@ -18,7 +18,8 @@ class EngineTest : public ::testing::Test {
     spec.num_tuples = 6000;
     spec.seed = 99;
     CarDbGenerator generator(spec);
-    db_ = new WebDatabase("CarDB", generator.Generate());
+    data_ = new Relation(generator.Generate());
+    db_ = new WebDatabase("CarDB", *data_);
     options_ = new AimqOptions();
     options_->collector.sample_size = 3000;
     options_->tsim = 0.4;
@@ -31,16 +32,20 @@ class EngineTest : public ::testing::Test {
     delete engine_;
     delete options_;
     delete db_;
+    delete data_;
     engine_ = nullptr;
     options_ = nullptr;
     db_ = nullptr;
+    data_ = nullptr;
   }
 
+  static Relation* data_;  // the generated relation: ground truth
   static WebDatabase* db_;
   static AimqOptions* options_;
   static AimqEngine* engine_;
 };
 
+Relation* EngineTest::data_ = nullptr;
 WebDatabase* EngineTest::db_ = nullptr;
 AimqOptions* EngineTest::options_ = nullptr;
 AimqEngine* EngineTest::engine_ = nullptr;
@@ -145,7 +150,7 @@ TEST_F(EngineTest, DeriveBaseSetUsesExactMatchesWhenAvailable) {
 }
 
 TEST_F(EngineTest, FindSimilarReachesTarget) {
-  const Relation& hidden = db_->hidden_relation_for_testing();
+  const Relation& hidden = *data_;
   Tuple anchor = hidden.tuple(42);
   RelaxationStats stats;
   auto similar = engine_->FindSimilar(anchor, 15, 0.5,
@@ -161,7 +166,7 @@ TEST_F(EngineTest, FindSimilarReachesTarget) {
 }
 
 TEST_F(EngineTest, FindSimilarSortedByDescendingSimilarity) {
-  const Relation& hidden = db_->hidden_relation_for_testing();
+  const Relation& hidden = *data_;
   auto similar = engine_->FindSimilar(hidden.tuple(7), 10, 0.4,
                                       RelaxationStrategy::kGuided);
   ASSERT_TRUE(similar.ok());
@@ -171,7 +176,7 @@ TEST_F(EngineTest, FindSimilarSortedByDescendingSimilarity) {
 }
 
 TEST_F(EngineTest, GuidedBeatsRandomOnWorkPerRelevantTuple) {
-  const Relation& hidden = db_->hidden_relation_for_testing();
+  const Relation& hidden = *data_;
   double guided_work = 0.0, random_work = 0.0;
   for (size_t i = 0; i < 10; ++i) {
     Tuple anchor = hidden.tuple(100 + i * 137);
@@ -206,7 +211,7 @@ TEST_F(EngineTest, ApplyFeedbackShiftsWeightsAndNormalizes) {
   AimqEngine engine(db_, knowledge.TakeValue(), *options_);
   std::vector<double> before = engine.knowledge().WimpVector();
 
-  const Relation& hidden = db_->hidden_relation_for_testing();
+  const Relation& hidden = *data_;
   Tuple probe = hidden.tuple(11);
   auto answers =
       engine.FindSimilar(probe, 10, 0.4, RelaxationStrategy::kGuided);
@@ -271,7 +276,7 @@ TEST_F(EngineTest, AllAnswersExistInTheDatabase) {
   q.Bind("Mileage", Value::Num(60000));
   auto answers = engine_->Answer(q);
   ASSERT_TRUE(answers.ok());
-  const Relation& hidden = db_->hidden_relation_for_testing();
+  const Relation& hidden = *data_;
   std::unordered_set<Tuple, TupleHash> all(hidden.tuples().begin(),
                                            hidden.tuples().end());
   for (const RankedAnswer& a : *answers) {
@@ -295,88 +300,6 @@ TEST_F(EngineTest, DuplicateRelaxationProbesAreDeduplicated) {
   // queries (some saved by the per-tuple early stop); dedup must cut that
   // at least in half.
   EXPECT_LT(stats.queries_issued, base_n * 63);
-}
-
-TEST_F(EngineTest, AnswerCacheHitsOnRepeatedQueries) {
-  auto knowledge = BuildKnowledge(*db_, *options_);
-  ASSERT_TRUE(knowledge.ok());
-  AimqEngine engine(db_, knowledge.TakeValue(), *options_);
-  engine.SetAnswerCacheCapacity(16);
-
-  ImpreciseQuery q;
-  q.Bind("Model", Value::Cat("Camry"));
-  auto first = engine.Answer(q);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(engine.answer_cache_hits(), 0u);
-  EXPECT_EQ(engine.answer_cache_size(), 1u);
-
-  db_->ResetStats();
-  auto second = engine.Answer(q);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.answer_cache_hits(), 1u);
-  // A cache hit never touches the source.
-  EXPECT_EQ(db_->stats().queries_issued, 0u);
-  ASSERT_EQ(first->size(), second->size());
-  for (size_t i = 0; i < first->size(); ++i) {
-    EXPECT_EQ((*first)[i].tuple, (*second)[i].tuple);
-  }
-}
-
-TEST_F(EngineTest, FeedbackInvalidatesAnswerCache) {
-  auto knowledge = BuildKnowledge(*db_, *options_);
-  ASSERT_TRUE(knowledge.ok());
-  AimqEngine engine(db_, knowledge.TakeValue(), *options_);
-  engine.SetAnswerCacheCapacity(16);
-
-  ImpreciseQuery q;
-  q.Bind("Model", Value::Cat("Accord"));
-  auto answers = engine.Answer(q);
-  ASSERT_TRUE(answers.ok());
-  ASSERT_GE(answers->size(), 2u);
-  EXPECT_EQ(engine.answer_cache_size(), 1u);
-
-  std::vector<JudgedAnswer> judged;
-  for (size_t i = 0; i < answers->size(); ++i) {
-    judged.push_back(JudgedAnswer{
-        (*answers)[i].tuple, static_cast<int>(answers->size() - i)});
-  }
-  RelevanceFeedback feedback;
-  ASSERT_TRUE(engine.ApplyFeedback(feedback, (*answers)[0].tuple, judged)
-                  .ok());
-  EXPECT_EQ(engine.answer_cache_size(), 0u);
-}
-
-TEST_F(EngineTest, RandomStrategyIsNeverCached) {
-  auto knowledge = BuildKnowledge(*db_, *options_);
-  ASSERT_TRUE(knowledge.ok());
-  AimqEngine engine(db_, knowledge.TakeValue(), *options_);
-  engine.SetAnswerCacheCapacity(16);
-  ImpreciseQuery q;
-  q.Bind("Model", Value::Cat("Civic"));
-  ASSERT_TRUE(engine.Answer(q, RelaxationStrategy::kRandom).ok());
-  EXPECT_EQ(engine.answer_cache_size(), 0u);
-}
-
-TEST_F(EngineTest, AttachedQueryLogRecordsAnswers) {
-  auto knowledge = BuildKnowledge(*db_, *options_);
-  ASSERT_TRUE(knowledge.ok());
-  AimqEngine engine(db_, knowledge.TakeValue(), *options_);
-  QueryLog log(&db_->schema());
-  engine.AttachQueryLog(&log);
-
-  ImpreciseQuery q;
-  q.Bind("Model", Value::Cat("Camry"));
-  q.Bind("Price", Value::Num(9000));
-  ASSERT_TRUE(engine.Answer(q).ok());
-  ASSERT_TRUE(engine.Answer(q).ok());
-  EXPECT_EQ(log.NumQueries(), 2u);
-  EXPECT_EQ(log.BindCount(CarDbGenerator::kModel), 2u);
-  EXPECT_EQ(log.BindCount(CarDbGenerator::kPrice), 2u);
-  EXPECT_EQ(log.BindCount(CarDbGenerator::kColor), 0u);
-
-  engine.AttachQueryLog(nullptr);
-  ASSERT_TRUE(engine.Answer(q).ok());
-  EXPECT_EQ(log.NumQueries(), 2u);
 }
 
 TEST_F(EngineTest, WorkPerRelevantTupleMetric) {

@@ -14,7 +14,8 @@ class ExplainTest : public ::testing::Test {
     CarDbSpec spec;
     spec.num_tuples = 4000;
     spec.seed = 13;
-    db_ = new WebDatabase("CarDB", CarDbGenerator(spec).Generate());
+    data_ = new Relation(CarDbGenerator(spec).Generate());
+    db_ = new WebDatabase("CarDB", *data_);
     AimqOptions options;
     options.collector.sample_size = 2000;
     auto knowledge = BuildKnowledge(*db_, options);
@@ -24,14 +25,18 @@ class ExplainTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete engine_;
     delete db_;
+    delete data_;
     engine_ = nullptr;
     db_ = nullptr;
+    data_ = nullptr;
   }
 
+  static Relation* data_;  // the generated relation: ground truth
   static WebDatabase* db_;
   static AimqEngine* engine_;
 };
 
+Relation* ExplainTest::data_ = nullptr;
 WebDatabase* ExplainTest::db_ = nullptr;
 AimqEngine* ExplainTest::engine_ = nullptr;
 
@@ -122,7 +127,7 @@ TEST_F(ExplainTest, RejectsArityMismatch) {
 TEST_F(ExplainTest, UnknownAttributeErrors) {
   ImpreciseQuery q;
   q.Bind("Bogus", Value::Cat("x"));
-  Tuple t = db_->hidden_relation_for_testing().tuple(0);
+  Tuple t = data_->tuple(0);
   EXPECT_FALSE(engine_->Explain(q, t).ok());
 }
 

@@ -22,7 +22,8 @@ class CarDbIntegrationTest : public ::testing::Test {
     spec.num_tuples = 20000;
     spec.seed = 7;
     generator_ = new CarDbGenerator(spec);
-    db_ = new WebDatabase("CarDB", generator_->Generate());
+    data_ = new Relation(generator_->Generate());
+    db_ = new WebDatabase("CarDB", *data_);
     AimqOptions options;
     options.collector.sample_size = 10000;
     options.tsim = 0.5;
@@ -34,19 +35,23 @@ class CarDbIntegrationTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete engine_;
     delete db_;
+    delete data_;
     delete generator_;
     engine_ = nullptr;
     db_ = nullptr;
+    data_ = nullptr;
     generator_ = nullptr;
   }
 
   static CarDbGenerator* generator_;
+  static Relation* data_;  // the generated relation: ground truth
   static WebDatabase* db_;
   static AimqEngine* engine_;
   static OfflineTimings timings_;
 };
 
 CarDbGenerator* CarDbIntegrationTest::generator_ = nullptr;
+Relation* CarDbIntegrationTest::data_ = nullptr;
 WebDatabase* CarDbIntegrationTest::db_ = nullptr;
 AimqEngine* CarDbIntegrationTest::engine_ = nullptr;
 OfflineTimings CarDbIntegrationTest::timings_;
@@ -127,7 +132,7 @@ TEST_F(CarDbIntegrationTest, AdjacentYearsMoreSimilarThanDistant) {
 }
 
 TEST_F(CarDbIntegrationTest, SimulatedUserStudyPrefersGuidedOverRandom) {
-  const Relation& hidden = db_->hidden_relation_for_testing();
+  const Relation& hidden = *data_;
   SimulatedUserOptions uopts;
   uopts.noise_stddev = 0.0;
   SimulatedUser user(

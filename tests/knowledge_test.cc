@@ -9,12 +9,14 @@
 namespace aimq {
 namespace {
 
-WebDatabase SmallDb() {
+Relation SmallData() {
   CarDbSpec spec;
   spec.num_tuples = 3000;
   spec.seed = 21;
-  return WebDatabase("CarDB", CarDbGenerator(spec).Generate());
+  return CarDbGenerator(spec).Generate();
 }
+
+WebDatabase SmallDb() { return WebDatabase("CarDB", SmallData()); }
 
 TEST(KnowledgeTest, BuildKnowledgeProducesAllParts) {
   WebDatabase db = SmallDb();
@@ -68,8 +70,7 @@ TEST(KnowledgeTest, FromSampleSkipsCollection) {
   WebDatabase db = SmallDb();
   AimqOptions options;
   OfflineTimings timings;
-  auto k = BuildKnowledgeFromSample(db.hidden_relation_for_testing(), options,
-                                    &timings);
+  auto k = BuildKnowledgeFromSample(SmallData(), options, &timings);
   ASSERT_TRUE(k.ok());
   EXPECT_DOUBLE_EQ(timings.collect_seconds, 0.0);
   EXPECT_EQ(k->sample.NumTuples(), db.NumTuples());

@@ -400,10 +400,14 @@ TEST_F(LiveServiceTest, StripedCacheMatchesTheCapturedVersionAcrossAPublish) {
   std::vector<std::thread> clients;
   for (size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
-      for (size_t round = 0; round < kRounds || !published.load(); ++round) {
+      // Every client also submits at least one request after the publish
+      // returned, however fast its rounds ran before it.
+      bool submitted_after = false;
+      for (size_t round = 0; round < kRounds || !submitted_after; ++round) {
         Observation ob;
         ob.query = (t + round) % catalog.size();
         const bool after = published.load();
+        if (after) submitted_after = true;
         auto response = service.Execute(catalog[ob.query]);
         const bool before = !publishing.load();
         if (!response.ok() || response->truncated) {
@@ -420,7 +424,7 @@ TEST_F(LiveServiceTest, StripedCacheMatchesTheCapturedVersionAcrossAPublish) {
       }
     });
   }
-  // Publish once every client has had a turn (clients run until it lands).
+  // Publish once every client has had a turn.
   EXPECT_TRUE(WaitFor([&] { return completed.load() >= kClients * 5; }));
   publishing.store(true);
   auto publish = service.Ingest(

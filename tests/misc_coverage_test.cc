@@ -1,10 +1,11 @@
 // Focused coverage for smaller public surfaces not exercised elsewhere:
 // ValueSimilarityModel mutation API, Stopwatch, error propagation through
-// SelectionQuery::Evaluate, and multi-cluster RockEngine answers.
+// SelectionQuery::Matches, and multi-cluster RockEngine answers.
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "oracles/row_oracles.h"
 #include "rock/rock_engine.h"
 #include "similarity/value_similarity.h"
 #include "util/stopwatch.h"
@@ -94,11 +95,11 @@ TEST(SelectionQueryErrorTest, EvaluatePropagatesPredicateErrors) {
   Relation r(*schema);
   ASSERT_TRUE(r.Append(Tuple({Value::Cat("x")})).ok());
   SelectionQuery like({Predicate::Like("A", Value::Cat("x"))});
-  EXPECT_FALSE(like.Evaluate(r).ok());
+  EXPECT_FALSE(ScanEvaluate(like, r).ok());
   SelectionQuery range({Predicate("A", CompareOp::kLt, Value::Cat("x"))});
-  EXPECT_FALSE(range.Evaluate(r).ok());
+  EXPECT_FALSE(ScanEvaluate(range, r).ok());
   SelectionQuery unknown({Predicate::Eq("Nope", Value::Cat("x"))});
-  EXPECT_FALSE(unknown.Evaluate(r).ok());
+  EXPECT_FALSE(ScanEvaluate(unknown, r).ok());
 }
 
 // --- RockEngine with base answers spread over multiple clusters ------------

@@ -1,4 +1,4 @@
-#include "util/bag.h"
+#include "oracles/bag.h"
 
 #include <algorithm>
 

@@ -1,7 +1,8 @@
-// Counted multiset ("bag of keywords") used by supertuples (paper §5.2).
+// Counted multiset ("bag of keywords") of the paper's supertuples (§5.2),
+// keyed by keyword string: the oracle CodedBag must reproduce exactly.
 
-#ifndef AIMQ_UTIL_BAG_H_
-#define AIMQ_UTIL_BAG_H_
+#ifndef AIMQ_ORACLES_BAG_H_
+#define AIMQ_ORACLES_BAG_H_
 
 #include <cstdint>
 #include <string>
@@ -58,4 +59,4 @@ class Bag {
 
 }  // namespace aimq
 
-#endif  // AIMQ_UTIL_BAG_H_
+#endif  // AIMQ_ORACLES_BAG_H_

@@ -12,11 +12,11 @@
 #include "afd/tane.h"
 #include "core/feedback.h"
 #include "core/sim.h"
+#include "oracles/row_oracles.h"
 #include "ordering/attribute_ordering.h"
 #include "rock/rock.h"
 #include "ordering/multi_relax.h"
 #include "similarity/value_similarity.h"
-#include "util/bag.h"
 #include "util/rng.h"
 #include "webdb/web_database.h"
 
@@ -363,7 +363,7 @@ TEST_P(WebDbPropertyTest, IndexedExecuteMatchesBruteScan) {
     }
     auto indexed = db.Execute(q);
     ASSERT_TRUE(indexed.ok()) << q.ToString();
-    auto brute_rows = q.Evaluate(data);
+    auto brute_rows = ScanEvaluate(q, data);
     ASSERT_TRUE(brute_rows.ok());
     ASSERT_EQ(indexed->size(), brute_rows->size()) << q.ToString();
     // Same multiset of tuples (order may differ between index and scan).

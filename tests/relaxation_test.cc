@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 
+#include "oracles/row_oracles.h"
+
 namespace aimq {
 namespace {
 
@@ -183,7 +185,7 @@ TEST(TupleRelaxerTest, ProgressiveAnswerSetsAreMonotone) {
                        RelaxationMode::kProgressive);
   std::vector<size_t> prev;
   while (relaxer.HasNext()) {
-    auto rows = relaxer.Next().Evaluate(r);
+    auto rows = ScanEvaluate(relaxer.Next(), r);
     ASSERT_TRUE(rows.ok());
     for (size_t row : prev) {
       EXPECT_NE(std::find(rows->begin(), rows->end(), row), rows->end());

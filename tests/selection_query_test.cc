@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/row_oracles.h"
+
 namespace aimq {
 namespace {
 
@@ -28,7 +30,7 @@ Relation TestRelation() {
 TEST(SelectionQueryTest, EmptyQueryMatchesEverything) {
   Relation r = TestRelation();
   SelectionQuery q;
-  auto rows = q.Evaluate(r);
+  auto rows = ScanEvaluate(q, r);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 4u);
 }
@@ -37,7 +39,7 @@ TEST(SelectionQueryTest, ConjunctionNarrows) {
   Relation r = TestRelation();
   SelectionQuery q({Predicate::Eq("Make", Value::Cat("Toyota")),
                     Predicate::Eq("Price", Value::Num(10000))});
-  auto rows = q.Evaluate(r);
+  auto rows = ScanEvaluate(q, r);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(*rows, (std::vector<size_t>{0}));
 }
@@ -45,7 +47,7 @@ TEST(SelectionQueryTest, ConjunctionNarrows) {
 TEST(SelectionQueryTest, RangePredicate) {
   Relation r = TestRelation();
   SelectionQuery q({Predicate("Price", CompareOp::kLt, Value::Num(9000))});
-  auto rows = q.Evaluate(r);
+  auto rows = ScanEvaluate(q, r);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(*rows, (std::vector<size_t>{1, 3}));
 }
@@ -53,7 +55,7 @@ TEST(SelectionQueryTest, RangePredicate) {
 TEST(SelectionQueryTest, NoMatches) {
   Relation r = TestRelation();
   SelectionQuery q({Predicate::Eq("Make", Value::Cat("BMW"))});
-  auto rows = q.Evaluate(r);
+  auto rows = ScanEvaluate(q, r);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }

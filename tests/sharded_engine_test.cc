@@ -96,11 +96,16 @@ TEST(ShardPlanTest, RangesAreContiguousDisjointAndCoverEveryRow) {
 
 class ShardedEngineTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  // The fixture's CarDB relation, regenerated on each call.
+  static Relation Data() {
     CarDbSpec spec;
     spec.num_tuples = 600;
     spec.seed = 11;
-    db_ = new WebDatabase("CarDB", CarDbGenerator(spec).Generate());
+    return CarDbGenerator(spec).Generate();
+  }
+
+  static void SetUpTestSuite() {
+    db_ = new WebDatabase("CarDB", Data());
     options_ = new AimqOptions();
     options_->collector.sample_size = 300;
     options_->tsim = 0.4;
@@ -413,8 +418,7 @@ class CountingWebDatabase : public WebDatabase {
 // A substituted source keeps seeing every full probe through the one-shard
 // plan: the facade routes them to its virtual ExecuteRows.
 TEST_F(ShardedEngineTest, OneShardPlanSendsEveryFullProbeToTheSource) {
-  const CountingWebDatabase source("CarDB",
-                                   db_->hidden_relation_for_testing());
+  const CountingWebDatabase source("CarDB", Data());
   LiveOptions lopts;
   lopts.engine = *options_;
   lopts.engine.num_threads = 1;

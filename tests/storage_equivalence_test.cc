@@ -14,6 +14,7 @@
 #include "core/sim.h"
 #include "datagen/cardb.h"
 #include "datagen/censusdb.h"
+#include "oracles/row_oracles.h"
 #include "query/selection_query.h"
 #include "util/rng.h"
 #include "webdb/web_database.h"
@@ -33,13 +34,14 @@ Relation CarSample(size_t n, uint64_t seed) {
 class ProbeEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_ = std::make_unique<WebDatabase>("CarDB", CarSample(4000, 17));
+    data_ = CarSample(4000, 17);
+    db_ = std::make_unique<WebDatabase>("CarDB", data_);
   }
 
   void ExpectSameRows(const SelectionQuery& q) {
     auto coded = db_->ExecuteRows(q);
     ASSERT_TRUE(coded.ok()) << coded.status().ToString();
-    auto scanned = q.Evaluate(db_->hidden_relation_for_testing());
+    auto scanned = ScanEvaluate(q, data_);
     ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
     ASSERT_EQ(coded->size(), scanned->size()) << q.ToString();
     for (size_t i = 0; i < coded->size(); ++i) {
@@ -48,6 +50,7 @@ class ProbeEquivalenceTest : public ::testing::Test {
     }
   }
 
+  Relation data_;
   std::unique_ptr<WebDatabase> db_;
 };
 
@@ -88,7 +91,7 @@ TEST_F(ProbeEquivalenceTest, ConjunctionsAndEmptyQuery) {
 
 TEST_F(ProbeEquivalenceTest, RandomConjunctions) {
   Rng rng(99);
-  const Relation& data = db_->hidden_relation_for_testing();
+  const Relation& data = data_;
   const Schema& schema = data.schema();
   for (int trial = 0; trial < 40; ++trial) {
     SelectionQuery q;
@@ -117,7 +120,7 @@ TEST(PartitionEquivalenceTest, CodedMatchesRowStoreOnCarDb) {
   auto cols = sample.columnar();
   for (size_t a = 0; a < sample.schema().NumAttributes(); ++a) {
     StrippedPartition coded = StrippedPartition::FromColumnCoded(*cols, a);
-    StrippedPartition rows = StrippedPartition::FromColumnRowStore(sample, a);
+    StrippedPartition rows = RowStorePartition(sample, a);
     ASSERT_EQ(coded.num_rows(), rows.num_rows());
     ASSERT_EQ(coded.classes(), rows.classes()) << "attr " << a;
     EXPECT_EQ(coded.NumClasses(), rows.NumClasses());
@@ -133,7 +136,7 @@ TEST(PartitionEquivalenceTest, CodedMatchesRowStoreOnCensusDb) {
   auto cols = sample.columnar();
   for (size_t a = 0; a < sample.schema().NumAttributes(); ++a) {
     StrippedPartition coded = StrippedPartition::FromColumnCoded(*cols, a);
-    StrippedPartition rows = StrippedPartition::FromColumnRowStore(sample, a);
+    StrippedPartition rows = RowStorePartition(sample, a);
     ASSERT_EQ(coded.classes(), rows.classes()) << "attr " << a;
   }
 }

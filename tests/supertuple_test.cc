@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/row_oracles.h"
+
 namespace aimq {
 namespace {
 
@@ -46,11 +48,11 @@ TEST(SuperTupleBuilderTest, BagsCountAssociatedValues) {
   auto st = builder.Build(AVPair(0, Value::Cat("Ford")));
   ASSERT_TRUE(st.ok());
   // Model bag for Make=Ford: Focus ×2, F150 ×1.
-  EXPECT_EQ(st->bag(1).Count("Focus"), 2u);
-  EXPECT_EQ(st->bag(1).Count("F150"), 1u);
-  EXPECT_EQ(st->bag(1).Count("Camry"), 0u);
+  EXPECT_EQ(SuperTupleBag(*st, 1).Count("Focus"), 2u);
+  EXPECT_EQ(SuperTupleBag(*st, 1).Count("F150"), 1u);
+  EXPECT_EQ(SuperTupleBag(*st, 1).Count("Camry"), 0u);
   // The bound attribute's own bag stays empty.
-  EXPECT_TRUE(st->bag(0).Empty());
+  EXPECT_TRUE(SuperTupleBag(*st, 0).Empty());
 }
 
 TEST(SuperTupleBuilderTest, NumericValuesAreBinned) {
@@ -104,7 +106,7 @@ TEST(SuperTupleBuilderTest, UnknownValueGivesEmptySupertuple) {
   auto st = builder.Build(AVPair(0, Value::Cat("BMW")));
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->support(), 0u);
-  EXPECT_TRUE(st->bag(1).Empty());
+  EXPECT_TRUE(SuperTupleBag(*st, 1).Empty());
 }
 
 TEST(SuperTupleBuilderTest, ConstantNumericColumnSafe) {
@@ -120,8 +122,8 @@ TEST(SuperTupleBuilderTest, ConstantNumericColumnSafe) {
             builder.KeywordFor(2, Value::Num(5000)));
   auto st = builder.Build(AVPair(0, Value::Cat("Ford")));
   ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->bag(2).TotalSize(), 3u);
-  EXPECT_EQ(st->bag(2).DistinctSize(), 1u);
+  EXPECT_EQ(SuperTupleBag(*st, 2).TotalSize(), 3u);
+  EXPECT_EQ(SuperTupleBag(*st, 2).DistinctSize(), 1u);
 }
 
 TEST(SuperTupleTest, ToStringListsTopKeywords) {
