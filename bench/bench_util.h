@@ -102,8 +102,8 @@ inline size_t PeakRssBytes() {
 
 /// Code-column footprint of one columnar snapshot as bytes per tuple:
 /// "plain" is the resident 4-bytes-per-code layout; packed snapshots add
-/// "packed" (bit-packed payloads) and "stored" (post-codec, what actually
-/// occupies memory or spill) from the block store's stats.
+/// "stored" (the bit-packed payloads they keep) from the block store's
+/// stats.
 inline Json BytesPerTupleJson(const ColumnarRelation& cols) {
   Json j = Json::Obj();
   const double rows =
@@ -111,9 +111,7 @@ inline Json BytesPerTupleJson(const ColumnarRelation& cols) {
   j.Set("plain", Json::Num(4.0 * static_cast<double>(cols.NumAttributes())));
   if (cols.packed()) {
     const storage::BlockStoreStats stats = cols.block_store()->GetStats();
-    j.Set("packed", Json::Num(static_cast<double>(stats.packed_bytes) / rows));
     j.Set("stored", Json::Num(static_cast<double>(stats.stored_bytes) / rows));
-    j.Set("codec", Json::Str(storage::CodecName(stats.codec)));
   }
   return j;
 }

@@ -647,28 +647,16 @@ int RunMicroKernels(int argc, char** argv) {
                Json::Num(SpeedupAtLargestArg(reporter.ns_per_op(),
                                              "BM_ProbeScanCodedScalar",
                                              "BM_ProbeScanCoded")));
-  // Storage footprint: the same 20k-tuple CarDB prefix packed without and
-  // with the block codec, against the 4-bytes-per-code plain layout.
+  // Storage footprint: a 20k-tuple CarDB prefix packed, against the
+  // 4-bytes-per-code plain layout.
   Json footprint = Json::Obj();
   {
     CarDbSpec spec;
     spec.num_tuples = 20000;
     spec.seed = 2006;
-    const CarDbGenerator gen(spec);
-    ColumnarBuilder::Options copts;
-    auto packed = gen.GenerateColumnar(copts);
-    copts.store.codec = storage::CodecKind::kLite;
-    auto coded = gen.GenerateColumnar(copts);
-    if (packed.ok() && coded.ok()) {
-      Json plain_vs_packed = bench::BytesPerTupleJson(**packed);
-      const storage::BlockStoreStats cstats =
-          (*coded)->block_store()->GetStats();
-      const double rows = static_cast<double>((*coded)->NumRows());
-      plain_vs_packed.Set(
-          "stored_lite",
-          Json::Num(static_cast<double>(cstats.stored_bytes) / rows));
-      footprint = std::move(plain_vs_packed);
-    }
+    auto packed =
+        CarDbGenerator(spec).GenerateColumnar(ColumnarBuilder::Options());
+    if (packed.ok()) footprint = bench::BytesPerTupleJson(**packed);
   }
 
   Json doc = Json::Obj();

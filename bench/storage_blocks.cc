@@ -1,18 +1,16 @@
-// Storage-footprint and probe-scan harness for the block-based compressed
-// storage subsystem (src/storage/). Reports, on the canonical 100k CarDB:
+// Storage-footprint and probe-scan harness for the bit-packed block storage
+// subsystem (src/storage/). Reports, on the canonical 100k CarDB:
 //
 //   - bytes per tuple of the code columns: plain resident vectors vs
-//     bit-packed blocks vs bit-packed + block codec;
+//     bit-packed blocks;
 //   - probe-scan cost (CodedConjunction compile + EvaluateAll) over the
 //     plain snapshot, the packed snapshot, and a packed snapshot running
-//     under a small memory budget with every block spilled to disk;
+//     under a small decoded-block budget;
 //   - bit-identity of all three scans' answers (the harness fails when any
 //     differ, so the packed path can never silently drift from the oracle).
 //
 // Usage: storage_blocks [--tuples=N] [--allowed-memory=SZ] [--json=<path>]
 //                       [--isa=<scalar|sse4.2|avx2|native>]
-
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -131,27 +129,17 @@ int Run(int argc, char** argv) {
   const Relation rows = gen.Generate();
   const ColumnarRelation plain(rows);
 
-  // The same stream packed three ways.
-  ColumnarBuilder::Options packed_opts;
-  auto packed = gen.GenerateColumnar(packed_opts);
+  // The same stream packed twice: every decoded block resident, and under
+  // the budget.
+  auto packed = gen.GenerateColumnar(ColumnarBuilder::Options());
 
-  ColumnarBuilder::Options coded_opts;
-  coded_opts.store.codec = storage::CodecKind::kLite;
-  auto coded = gen.GenerateColumnar(coded_opts);
-
-  const std::string spill_path =
-      "/tmp/aimq_storage_blocks_" + std::to_string(::getpid()) + ".spill";
   ColumnarBuilder::Options budget_opts;
-  budget_opts.store.codec = storage::CodecKind::kLite;
   budget_opts.store.budget_bytes = budget;
-  budget_opts.store.spill_path = spill_path;
   auto budgeted = gen.GenerateColumnar(budget_opts);
 
-  if (!packed.ok() || !coded.ok() || !budgeted.ok()) {
+  if (!packed.ok() || !budgeted.ok()) {
     std::fprintf(stderr, "packed build failed: %s\n",
-                 (!packed.ok()   ? packed.status()
-                  : !coded.ok() ? coded.status()
-                                : budgeted.status())
+                 (!packed.ok() ? packed.status() : budgeted.status())
                      .ToString()
                      .c_str());
     return 1;
@@ -160,8 +148,6 @@ int Run(int argc, char** argv) {
   const double n = static_cast<double>(plain.NumRows());
   const storage::BlockStoreStats packed_stats =
       (*packed)->block_store()->GetStats();
-  const storage::BlockStoreStats coded_stats =
-      (*coded)->block_store()->GetStats();
   std::printf("\nCode-column footprint (bytes per tuple):\n");
   PrintTable(
       {"layout", "bytes/tuple", "total MB"},
@@ -170,13 +156,9 @@ int Run(int argc, char** argv) {
         FormatDouble(static_cast<double>(packed_stats.plain_bytes) / 1048576.0,
                      1)},
        {"packed",
-        FormatDouble(static_cast<double>(packed_stats.packed_bytes) / n, 2),
+        FormatDouble(static_cast<double>(packed_stats.stored_bytes) / n, 2),
         FormatDouble(
-            static_cast<double>(packed_stats.packed_bytes) / 1048576.0, 1)},
-       {"packed+lite",
-        FormatDouble(static_cast<double>(coded_stats.stored_bytes) / n, 2),
-        FormatDouble(static_cast<double>(coded_stats.stored_bytes) / 1048576.0,
-                     1)}});
+            static_cast<double>(packed_stats.stored_bytes) / 1048576.0, 1)}});
 
   const std::vector<SelectionQuery> probes = ProbeMix();
   const size_t reps = num_tuples >= 1000000 ? 2 : 10;
@@ -200,31 +182,26 @@ int Run(int argc, char** argv) {
   PrintTable({"snapshot", "ns/row"},
              {{"plain", FormatDouble(plain_ns, 2)},
               {"packed", FormatDouble(packed_ns, 2)},
-              {"packed+budget+spill", FormatDouble(budget_ns, 2)}});
+              {"packed+budget", FormatDouble(budget_ns, 2)}});
   std::printf("identical answers across layouts: %s\n",
               identical ? "yes" : "NO — STORAGE DIVERGENCE");
-  std::printf("budgeted arm: budget=%zu bytes, spilled=%zu bytes, "
+  std::printf("budgeted arm: budget=%zu bytes, "
               "cache hits=%zu misses=%zu evictions=%zu\n",
-              budget, budget_after.spilled_bytes, budget_after.cache.hits,
-              budget_after.cache.misses, budget_after.cache.evictions);
+              budget, budget_after.cache.hits, budget_after.cache.misses,
+              budget_after.cache.evictions);
 
   if (!json_path.empty()) {
     Json doc = Json::Obj();
     doc.Set("bench", Json::Str("storage_blocks"));
     doc.Set("git_sha", Json::Str(GitSha()));
     doc.Set("tuples", Json::Num(n));
-    Json bpt = BytesPerTupleJson(**packed);
-    bpt.Set("stored_lite",
-            Json::Num(static_cast<double>(coded_stats.stored_bytes) / n));
-    doc.Set("bytes_per_tuple", std::move(bpt));
+    doc.Set("bytes_per_tuple", BytesPerTupleJson(**packed));
     Json scan = Json::Obj();
     scan.Set("plain_ns_per_row", Json::Num(plain_ns));
     scan.Set("packed_ns_per_row", Json::Num(packed_ns));
     scan.Set("budgeted_ns_per_row", Json::Num(budget_ns));
     doc.Set("probe_scan", std::move(scan));
     doc.Set("allowed_memory_bytes", Json::Num(static_cast<double>(budget)));
-    doc.Set("spilled_bytes",
-            Json::Num(static_cast<double>(budget_after.spilled_bytes)));
     doc.Set("deterministic", Json::Bool(identical));
     doc.Set("peak_rss_bytes", Json::Num(static_cast<double>(PeakRssBytes())));
     if (!WriteJsonFile(json_path, doc)) return 1;

@@ -1,9 +1,9 @@
-// End-to-end larger-than-memory harness: streams a CarDB of --tuples rows
-// straight into block-packed columnar storage (never materializing a
-// row-store Relation), mines knowledge from a probed sample with supertuple
-// bags spilled between mining phases, then answers fig6-style FindSimilar
-// queries — all under one --allowed-memory budget with cold code blocks
-// paged in from a spill file.
+// End-to-end packed-storage harness: streams a CarDB of --tuples rows
+// straight into bit-packed in-memory columnar storage (never materializing
+// a row-store Relation), mines knowledge from a probed sample, then answers
+// fig6-style FindSimilar queries — with decoded code blocks held under one
+// --allowed-memory budget and re-unpacked from the packed bytes when they
+// were evicted.
 //
 // --verify=plain additionally runs the identical protocol through the
 // historical row-store + plain-columnar path and requires bit-identical
@@ -12,10 +12,8 @@
 // scale).
 //
 // Usage: storage_scale [--tuples=N] [--allowed-memory=SZ] [--queries=Q]
-//                      [--codec=none|lite|zstd] [--verify=none|plain]
-//                      [--json=<path>] [--isa=<scalar|sse4.2|avx2|native>]
-
-#include <unistd.h>
+//                      [--verify=none|plain] [--json=<path>]
+//                      [--isa=<scalar|sse4.2|avx2|native>]
 
 #include <algorithm>
 #include <cstdio>
@@ -92,7 +90,6 @@ int Run(int argc, char** argv) {
   size_t num_tuples = 1000000;
   size_t budget = 256u << 20;
   size_t num_queries = 5;
-  storage::CodecKind codec = storage::CodecKind::kLite;
   std::string verify = "none";
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
@@ -106,14 +103,6 @@ int Run(int argc, char** argv) {
       }
     } else if (StartsWith(arg, "--queries=")) {
       num_queries = static_cast<size_t>(std::atoll(arg.c_str() + 10));
-    } else if (StartsWith(arg, "--codec=")) {
-      auto kind = storage::CodecFromName(arg.substr(8));
-      if (!kind.ok()) {
-        std::fprintf(stderr, "bad --codec: %s\n",
-                     kind.status().ToString().c_str());
-        return 1;
-      }
-      codec = kind.ValueOrDie();
     } else if (StartsWith(arg, "--verify=")) {
       verify = arg.substr(9);
       if (verify != "none" && verify != "plain") {
@@ -143,11 +132,8 @@ int Run(int argc, char** argv) {
   spec.seed = 2006;
   const CarDbGenerator gen(spec);
 
-  const std::string tag = std::to_string(::getpid());
   ColumnarBuilder::Options opts;
-  opts.store.codec = codec;
   opts.store.budget_bytes = budget;
-  opts.store.spill_path = "/tmp/aimq_storage_scale_" + tag + ".spill";
 
   Stopwatch build_timer;
   auto packed = gen.GenerateColumnar(opts);
@@ -162,19 +148,13 @@ int Run(int argc, char** argv) {
   std::printf("\nstreamed build: %.2f s (%.0f tuples/s)\n", build_seconds,
               build_seconds > 0 ? n / build_seconds : 0.0);
   std::printf("code columns: plain %.2f B/tuple -> stored %.2f B/tuple "
-              "(%zu blocks/col, codec %s, spilled %.1f MB)\n",
+              "(%zu blocks/col)\n",
               static_cast<double>(stats.plain_bytes) / n,
-              static_cast<double>(stats.stored_bytes) / n, stats.num_blocks,
-              storage::CodecName(stats.codec),
-              static_cast<double>(stats.spilled_bytes) / 1048576.0);
+              static_cast<double>(stats.stored_bytes) / n, stats.num_blocks);
 
   AimqOptions options = CarDbOptions();
   options.collector.sample_size =
       std::min<size_t>(25000, num_tuples / 4 > 0 ? num_tuples / 4 : 1);
-  // Spill supertuple bags between the two mining phases, same budget story
-  // as the code blocks.
-  options.similarity.bag_spill_path = "/tmp/aimq_storage_scale_" + tag +
-                                      ".bags";
 
   const size_t effective_queries =
       std::min<size_t>(num_queries, num_tuples);
@@ -201,11 +181,8 @@ int Run(int argc, char** argv) {
   bool verified = true;
   if (verify == "plain") {
     std::printf("\nverify arm: row-store + plain columnar oracle...\n");
-    AimqOptions plain_options = options;
-    plain_options.similarity.bag_spill_path.clear();  // resident bags
     WebDatabase plain_db("CarDB", gen.Generate());
-    ProtocolResult plain_run =
-        RunProtocol(plain_db, plain_options, anchor_rows);
+    ProtocolResult plain_run = RunProtocol(plain_db, options, anchor_rows);
     if (!plain_run.ok) return 1;
     verified = IdenticalAnswers(packed_run, plain_run);
     std::printf("packed answers identical to plain oracle: %s\n",
@@ -225,8 +202,6 @@ int Run(int argc, char** argv) {
     doc.Set("query_seconds", Json::Num(packed_run.query_seconds));
     doc.Set("queries", Json::Num(static_cast<double>(effective_queries)));
     doc.Set("bytes_per_tuple", BytesPerTupleJson(**packed));
-    doc.Set("spilled_bytes",
-            Json::Num(static_cast<double>(after.spilled_bytes)));
     Json cache = Json::Obj();
     cache.Set("hits", Json::Num(static_cast<double>(after.cache.hits)));
     cache.Set("misses", Json::Num(static_cast<double>(after.cache.misses)));

@@ -363,28 +363,13 @@ Result<std::vector<RankedAnswer>> AimqEngine::Answer(
         base_set.size() > options_.base_set_limit) {
       // Keep the base tuples closest to Q (matters when the base query had to
       // be generalized and its answers no longer satisfy Q exactly).
-      if (shard_ranker_ != nullptr) {
-        // Scatter/gather path: per-shard top-k merged by (score desc, row
-        // asc) — bit-identical to the serial TopK below because base_set
-        // arrives ascending, making insertion-order ties equal to row-id
-        // ties.
-        std::vector<std::pair<double, uint32_t>> best =
-            shard_ranker_->RankTopK(
-                base_set, options_.base_set_limit,
-                [&](uint32_t row) { return coded_sim_.Score(enc_query, row); });
-        base_set.clear();
-        for (auto& [score, row] : best) {
-          base_set.push_back(row);
-        }
-      } else {
-        TopK<uint32_t> best(options_.base_set_limit);
-        for (uint32_t row : base_set) {
-          best.Add(coded_sim_.Score(enc_query, row), row);
-        }
-        base_set.clear();
-        for (auto& [score, row] : best.Extract()) {
-          base_set.push_back(row);
-        }
+      TopK<uint32_t> best(options_.base_set_limit);
+      for (uint32_t row : base_set) {
+        best.Add(coded_sim_.Score(enc_query, row), row);
+      }
+      base_set.clear();
+      for (auto& [score, row] : best.Extract()) {
+        base_set.push_back(row);
       }
     }
   }

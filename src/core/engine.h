@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,26 +32,6 @@ namespace aimq {
 struct RankedAnswer {
   Tuple tuple;
   double similarity = 0.0;
-};
-
-/// \brief Pluggable top-k executor for row-partitioned (sharded) sources.
-///
-/// The engine's base-set trimming reduces an ascending row-id list to the k
-/// best rows under a scoring function. A sharded source can execute that as
-/// per-shard top-k scans merged by a deterministic rule; the contract is
-/// bit-identical output to the engine's own serial path: rows ordered by
-/// (score descending, row id ascending) — exactly what TopK<uint32_t> fed
-/// rows in ascending order produces, because its ties resolve by insertion
-/// order.
-class ShardRanker {
- public:
-  virtual ~ShardRanker() = default;
-
-  /// Returns the k best of \p rows (which arrive in ascending order) under
-  /// \p score, as (score, row) pairs sorted by (score desc, row asc).
-  virtual std::vector<std::pair<double, uint32_t>> RankTopK(
-      const std::vector<uint32_t>& rows, size_t k,
-      const std::function<double(uint32_t)>& score) const = 0;
 };
 
 /// Probe-level accounting of one relaxation run (Figures 6 and 7 report
@@ -298,13 +277,6 @@ class AimqEngine {
   /// thread-safe against in-flight queries, set it before serving.
   void SetTraceRecorder(TraceRecorder* recorder) { trace_ = recorder; }
 
-  /// Attaches a shard-aware top-k executor: base-set trimming then runs as
-  /// per-shard scans merged deterministically instead of one serial pass
-  /// (answers are bit-identical by the ShardRanker contract). Pass nullptr
-  /// to detach (the default). The ranker must outlive the engine; set it
-  /// before serving.
-  void SetShardRanker(const ShardRanker* ranker) { shard_ranker_ = ranker; }
-
  private:
   // Per-call probe bookkeeping: when no shared ProbeCache is attached, memo
   // preserves the historical per-Answer dedup of identical relaxed queries.
@@ -390,8 +362,6 @@ class AimqEngine {
   LruCache<uint32_t, std::shared_ptr<const MemoizedExpansion>> memo_;
   // Span recorder for end-to-end tracing; nullptr = tracing off (default).
   TraceRecorder* trace_ = nullptr;
-  // Shard-aware top-k executor; nullptr = the engine's own serial TopK.
-  const ShardRanker* shard_ranker_ = nullptr;
 };
 
 }  // namespace aimq

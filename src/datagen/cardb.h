@@ -89,8 +89,8 @@ class CarDbGenerator {
       const std::function<Status(std::vector<Value>&&)>& emit) const;
 
   /// Streams the dataset straight into a packed columnar snapshot (block
-  /// bit-packing, optional codec/spill/budget per \p opts) without ever
-  /// materializing a row-store Relation — the 10M–100M tuple path.
+  /// bit-packing; block size and decoded-block budget per \p opts) without
+  /// ever materializing a row-store Relation.
   Result<std::shared_ptr<const ColumnarRelation>> GenerateColumnar(
       ColumnarBuilder::Options opts) const;
 

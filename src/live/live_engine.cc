@@ -54,7 +54,6 @@ std::unique_ptr<AimqEngine> LiveEngine::BuildEngine(
   // version-specific.
   auto engine =
       std::make_unique<AimqEngine>(facade, kv.knowledge, options_.engine);
-  engine->SetShardRanker(facade);
   // All versions share one probe cache; entries carry forward across
   // publishes, extended over each version's new rows on lookup (nullptr =
   // configured pass-through).

@@ -135,13 +135,9 @@ Result<std::shared_ptr<const ColumnarRelation>> ColumnarRelation::Extend(
   out.nums_.resize(num_attrs);
 
   if (base.packed()) {
-    // A new in-memory store on the base's block grid, codec and budget —
-    // never on its spill file, which a new store would truncate and unlink.
-    storage::BlockStoreOptions store_opts = base.store_->options();
-    store_opts.spill_path.clear();
-    AIMQ_ASSIGN_OR_RETURN(
-        out.store_,
-        storage::CodeBlockStore::Create(std::move(store_opts), num_attrs));
+    // A new store on the base's block grid and budget.
+    out.store_ =
+        storage::CodeBlockStore::Create(base.store_->options(), num_attrs);
     for (size_t a = 0; a < num_attrs; ++a) {
       storage::CodeBlockStore::Cursor cursor = base.store_->ColumnCursor(a);
       while (cursor.Next()) {
@@ -333,9 +329,6 @@ Value ColumnarRelation::ValueAt(size_t attr, size_t row) const {
 Result<std::unique_ptr<ColumnarBuilder>> ColumnarBuilder::Create(Schema schema,
                                                                  Options opts) {
   const size_t num_attrs = schema.NumAttributes();
-  AIMQ_ASSIGN_OR_RETURN(
-      std::unique_ptr<storage::CodeBlockStore> store,
-      storage::CodeBlockStore::Create(opts.store, num_attrs));
   std::unique_ptr<ColumnarBuilder> b(new ColumnarBuilder());
   b->schema_ = std::move(schema);
   b->dicts_.resize(num_attrs);
@@ -345,7 +338,7 @@ Result<std::unique_ptr<ColumnarBuilder>> ColumnarBuilder::Create(Schema schema,
     b->is_numeric_[a] =
         b->schema_.attribute(a).type == AttrType::kNumeric ? 1 : 0;
   }
-  b->store_ = std::move(store);
+  b->store_ = storage::CodeBlockStore::Create(opts.store, num_attrs);
   return b;
 }
 

@@ -14,8 +14,7 @@
 //     historical layout, built by the ColumnarRelation(const Relation&)
 //     constructor);
 //   - packed: code columns live in a storage::CodeBlockStore — bit-packed
-//     blocks, optionally compressed, optionally spilled to disk, decoded on
-//     demand under a byte budget. Packed snapshots are produced by
+//     blocks held in memory, decoded on demand under a byte budget. Packed snapshots are produced by
 //     ColumnarBuilder, which streams rows in without ever materializing a
 //     row-store Relation.
 // Extend keeps its base's form: a plain base gives a plain snapshot and a
@@ -76,9 +75,9 @@ class ColumnarRelation {
   /// concatenated row stream — same codes, same dictionaries, same canonical
   /// rows. Only the delta is interned; the rest is copied in O(base rows):
   /// the dictionaries and either the plain code and number columns or, for
-  /// a packed base, every block (read per column, re-packed into a new
-  /// in-memory store with the base store's block size, codec and budget —
-  /// never its spill file). The first Extend of \p base inherits its
+  /// a packed base, every block (read per column and re-packed into a new
+  /// store with the base store's block size and budget). The first Extend
+  /// of \p base inherits its
   /// lineage. A plain result also copies the canonical-row vector and takes
   /// over the base's canonical-row index (when \p base was itself made by
   /// Extend), so it hashes only the delta rows; a later Extend of the same
@@ -110,23 +109,14 @@ class ColumnarRelation {
   /// Per-attribute dictionary (code -> Value, first-seen order).
   const ValueDict& dict(size_t attr) const { return dicts_[attr]; }
 
-  /// Dense code column of one attribute; codes[row] == ValueDict::kNullCode
-  /// marks null. Plain mode only — empty when packed(); mode-agnostic
-  /// consumers use CodeAt/ScanBlocks instead.
-  const std::vector<ValueId>& codes(size_t attr) const { return codes_[attr]; }
-
-  /// Raw double column of a numeric attribute (0.0 at nulls — consult
-  /// codes() for nullness). Empty for categorical attributes, and in packed
-  /// mode (use NumAt).
-  const std::vector<double>& nums(size_t attr) const { return nums_[attr]; }
-
-  /// The code at (attr, row) in either storage mode.
+  /// The code at (attr, row) in either storage mode; ValueDict::kNullCode
+  /// marks null.
   ValueId CodeAt(size_t attr, size_t row) const {
     return store_ != nullptr ? store_->At(attr, row) : codes_[attr][row];
   }
 
-  /// The raw double at (attr, row) of a numeric attribute (0.0 at nulls), in
-  /// either storage mode. Packed mode resolves through a per-code table
+  /// The raw double at (attr, row) of a numeric attribute (0.0 at nulls —
+  /// consult CodeAt for nullness), in either storage mode. Packed mode resolves through a per-code table
   /// built from the same Value::AsNum() calls the plain column stores, so
   /// the two modes are bit-identical.
   double NumAt(size_t attr, size_t row) const {
@@ -159,8 +149,8 @@ class ColumnarRelation {
 
   /// Sequential reader yielding aligned CodeWindows over the requested
   /// attributes. Plain mode yields one window spanning the whole relation;
-  /// packed mode yields one window per block, decoding (and possibly paging
-  /// in) each block on demand.
+  /// packed mode yields one window per block, decoding each block on
+  /// demand.
   class WindowCursor {
    public:
     /// Advances to the next window; false at end of relation.
@@ -201,10 +191,6 @@ class ColumnarRelation {
 
   /// The block store backing a packed snapshot; nullptr in plain mode.
   const storage::CodeBlockStore* block_store() const { return store_.get(); }
-
-  /// Mutable store access for spill-lifecycle hooks (ReopenSpill) in tests
-  /// and benches; nullptr in plain mode.
-  storage::CodeBlockStore* mutable_block_store() { return store_.get(); }
 
  private:
   friend class ColumnarBuilder;
@@ -262,7 +248,7 @@ class ColumnarBuilder {
     storage::BlockStoreOptions store;
   };
 
-  /// Creates a builder for \p schema (and the spill file, if configured).
+  /// Creates a builder for \p schema.
   static Result<std::unique_ptr<ColumnarBuilder>> Create(Schema schema,
                                                          Options opts);
 

@@ -192,18 +192,14 @@ void EmitBlockStores(
                  "store.",
                  static_cast<double>(stats.cache.evictions), labels);
     out->Counter("aimq_block_decode_seconds_total",
-                 "Wall time spent in miss loaders (spill read + unpack + "
-                 "codec), by packed store.",
+                 "Wall time spent unpacking missed blocks, by packed store.",
                  static_cast<double>(stats.cache.decode_nanos) * 1e-9,
                  labels);
     out->Gauge("aimq_block_cache_resident_bytes",
-               "Decoded bytes held by the block cache (pinned included).",
+               "Decoded bytes held by the block cache.",
                static_cast<double>(stats.cache.resident_bytes), labels);
-    out->Gauge("aimq_block_spilled_bytes",
-               "Packed bytes resident on the spill file instead of RAM.",
-               static_cast<double>(stats.spilled_bytes), labels);
     out->Gauge("aimq_block_stored_bytes",
-               "Packed bytes of the store (RAM + spill).",
+               "Bit-packed bytes of the store.",
                static_cast<double>(stats.stored_bytes), labels);
   }
 }

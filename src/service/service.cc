@@ -17,12 +17,14 @@ constexpr size_t kSlowQueryRingCap = 128;
 // The tenant label requests without one run under.
 const char kDefaultTenant[] = "default";
 
+// Ring capacity, in events, of the trace recorder (oldest overwritten).
+constexpr size_t kTraceCapacity = 1 << 16;
+
 ShardedEngineOptions ShardOptionsFrom(const ServiceOptions& service_options) {
   ShardedEngineOptions opts;
   opts.num_shards = service_options.num_shards;
   opts.packed_shards = service_options.packed_shards;
   opts.shard_cache_capacity = service_options.shard_cache_capacity;
-  opts.scatter_threads = service_options.scatter_threads;
   opts.coalesce_probes = service_options.coalesce_probes;
   return opts;
 }
@@ -42,7 +44,7 @@ AimqService::AimqService(const WebDatabase* source, MinedKnowledge knowledge,
                              std::move(live_options))
               .TakeValue();
   if (service_options_.enable_tracing) {
-    trace_ = std::make_unique<TraceRecorder>(service_options_.trace_capacity);
+    trace_ = std::make_unique<TraceRecorder>(kTraceCapacity);
     live_->SetTraceRecorder(trace_.get());
   }
   // One pull collector covers the whole engine: every subsystem keeps its
@@ -353,7 +355,7 @@ void AimqService::RunRequest(Request request) {
   {
     TraceSpan execute(trace_.get(), "execute", "service", request.request_id);
     answers = request.version->engine->Answer(
-        request.query, service_options_.strategy, &response.stats,
+        request.query, RelaxationStrategy::kGuided, &response.stats,
         request.control.get(), &truncated);
   }
   response.total_seconds = request.since_submit.ElapsedSeconds();

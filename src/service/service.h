@@ -75,17 +75,11 @@ struct ServiceOptions {
   /// submission. 0 = no default deadline.
   uint64_t default_deadline_ms = 0;
 
-  /// Relaxation strategy used for every request.
-  RelaxationStrategy strategy = RelaxationStrategy::kGuided;
-
   /// End-to-end tracing: when true the service owns a TraceRecorder, wires
   /// it into the engine, and every request emits a span tree (queue wait,
   /// execution, engine phases, probes) correlated by its request id. Off by
   /// default — disabled tracing costs one pointer test per span site.
   bool enable_tracing = false;
-
-  /// Ring capacity, in events, of the trace recorder (oldest overwritten).
-  size_t trace_capacity = 1 << 16;
 
   /// Slow-query log: a finished request whose total latency (queue wait
   /// included) is >= this threshold is captured — with its span tree when
@@ -108,11 +102,6 @@ struct ServiceOptions {
 
   /// Per-shard ProbeCache capacity in entries (0 disables shard caches).
   size_t shard_cache_capacity = 4096;
-
-  /// Threads for the per-probe scatter fan-out (0 = legs run inline on the
-  /// probing worker, which is the right default: workers already parallelize
-  /// across requests).
-  size_t scatter_threads = 0;
 
   /// Cross-query probe coalescing on the engine-level shared ProbeCache:
   /// concurrent identical probes park on one source scan.

@@ -1,11 +1,8 @@
 #include "shard/sharded_engine.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "util/parallel.h"
 #include "util/stopwatch.h"
-#include "util/topk.h"
 
 namespace aimq {
 namespace {
@@ -28,7 +25,6 @@ Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
   // materialization are byte-for-byte those of the source.
   std::unique_ptr<ShardedWebDatabase> facade(
       new ShardedWebDatabase(source->name(), source->columnar()));
-  facade->scatter_threads_ = options.scatter_threads;
 
   const std::vector<ShardRange> plan =
       PlanRowRanges(source->NumTuples(), options.num_shards);
@@ -83,13 +79,12 @@ Result<std::unique_ptr<ShardedWebDatabase>> ShardedWebDatabase::Create(
 }
 
 Result<std::vector<uint32_t>> ShardedWebDatabase::ProbeShard(
-    size_t s, const SelectionQuery& query, size_t from_row,
-    uint64_t request_id) const {
+    size_t s, const SelectionQuery& query, size_t from_row) const {
   const Shard& shard = shards_[s];
   Accounting& acct = *shard.accounting;
   // A one-shard plan's only leg is the engine's probe span already.
   TraceSpan span(shards_.size() > 1 ? trace_ : nullptr, "shard_probe",
-                 "shard", request_id);
+                 "shard", TraceRecorder::CurrentRequestId());
   span.AddArg("shard", static_cast<double>(s));
   Stopwatch leg_timer;
   bool hit = false;
@@ -124,9 +119,6 @@ Result<std::vector<uint32_t>> ShardedWebDatabase::ProbeShard(
 Result<std::vector<uint32_t>> ShardedWebDatabase::ExecuteRowsFrom(
     const SelectionQuery& query, size_t from_row) const {
   AIMQ_RETURN_NOT_OK(ValidateBooleanQuery(query));
-  // Capture the ambient request id on the calling thread: the scatter legs
-  // may run on pool threads where the thread-local id is not set.
-  const uint64_t request_id = TraceRecorder::CurrentRequestId();
   // Shards wholly before from_row have nothing to add.
   size_t first = 0;
   while (first < shards_.size() && shards_[first].range.end <= from_row) {
@@ -137,81 +129,14 @@ Result<std::vector<uint32_t>> ShardedWebDatabase::ExecuteRowsFrom(
   // per-shard answers in shard order is already the globally ascending
   // row-id list — identical to the source's scan, no sort needed.
   std::vector<uint32_t> out;
-  const auto gather = [&out](std::vector<uint32_t> leg) {
+  for (size_t s = first; s < shards_.size(); ++s) {
+    AIMQ_ASSIGN_OR_RETURN(std::vector<uint32_t> leg,
+                          ProbeShard(s, query, from_row));
     if (out.empty()) out = std::move(leg);
     else out.insert(out.end(), leg.begin(), leg.end());
-  };
-  const size_t n = shards_.size() - first;
-  if (scatter_threads_ > 1 && n > 1) {
-    std::vector<Result<std::vector<uint32_t>>> legs(n,
-                                                    std::vector<uint32_t>());
-    ParallelFor(n, scatter_threads_, [&](size_t i) {
-      legs[i] = ProbeShard(first + i, query, from_row, request_id);
-    });
-    for (Result<std::vector<uint32_t>>& leg : legs) {
-      AIMQ_RETURN_NOT_OK(leg.status());
-      gather(leg.TakeValue());
-    }
-  } else {
-    for (size_t s = first; s < shards_.size(); ++s) {
-      AIMQ_ASSIGN_OR_RETURN(std::vector<uint32_t> leg,
-                            ProbeShard(s, query, from_row, request_id));
-      gather(std::move(leg));
-    }
   }
   AccountProbe(out.size());
   return out;
-}
-
-std::vector<std::pair<double, uint32_t>> ShardedWebDatabase::RankTopK(
-    const std::vector<uint32_t>& rows, size_t k,
-    const std::function<double(uint32_t)>& score) const {
-  if (k == 0 || rows.empty()) return {};
-  // Split the ascending row list into contiguous per-shard segments.
-  struct Segment {
-    size_t begin = 0;
-    size_t end = 0;
-  };
-  std::vector<Segment> segments(shards_.size());
-  size_t pos = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    segments[s].begin = pos;
-    while (pos < rows.size() && rows[pos] < shards_[s].range.end) ++pos;
-    segments[s].end = pos;
-  }
-
-  // Per-shard top-k over global ids. Feeding TopK ascending rows makes its
-  // insertion-order tie-break equivalent to (score desc, row asc) — the
-  // same order the merge below sorts by, so shard-local survivors are
-  // exactly the global survivors restricted to the shard.
-  std::vector<std::vector<std::pair<double, uint32_t>>> local(shards_.size());
-  const auto rank_shard = [&](size_t s) {
-    if (segments[s].begin == segments[s].end) return;
-    TopK<uint32_t> best(k);
-    for (size_t i = segments[s].begin; i < segments[s].end; ++i) {
-      best.Add(score(rows[i]), rows[i]);
-    }
-    local[s] = best.Extract();
-  };
-  if (scatter_threads_ > 1 && shards_.size() > 1) {
-    ParallelFor(shards_.size(), scatter_threads_, rank_shard);
-  } else {
-    for (size_t s = 0; s < shards_.size(); ++s) rank_shard(s);
-  }
-
-  std::vector<std::pair<double, uint32_t>> merged;
-  merged.reserve(std::min(rows.size(), k * shards_.size()));
-  for (std::vector<std::pair<double, uint32_t>>& leg : local) {
-    merged.insert(merged.end(), leg.begin(), leg.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const std::pair<double, uint32_t>& a,
-               const std::pair<double, uint32_t>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  if (merged.size() > k) merged.resize(k);
-  return merged;
 }
 
 std::vector<ShardProbeSnapshot> ShardedWebDatabase::ShardStats() const {

@@ -21,11 +21,8 @@
 // global emptiness/counts, so running N independent engines would change
 // answers. Instead one AimqEngine runs the unmodified Algorithm 1 over the
 // facade — the probe/scan layer scales out, the algorithm stays global and
-// deterministic. The facade also implements the engine's ShardRanker hook,
-// executing base-set top-k trimming as per-shard top-k scans merged by
-// (score desc, row asc) — provably equal to the engine's serial TopK over
-// an ascending row list. LiveEngine (live/live_engine.h) builds one facade
-// per serving version, and each takes over the previous facade's per-shard
+// deterministic. LiveEngine (live/live_engine.h) builds one facade per
+// serving version, and each takes over the previous facade's per-shard
 // accounting (counters, leg latency, shard cache) by shard index, so the
 // shard metrics never restart on a publish; see DESIGN.md §5h.
 
@@ -39,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/engine.h"
 #include "shard/shard_plan.h"
 #include "storage/code_block_store.h"
 #include "util/histogram.h"
@@ -66,10 +62,6 @@ struct ShardedEngineOptions {
   /// probes then always scan the shard). The one-shard plan has no shard
   /// cache.
   size_t shard_cache_capacity = 4096;
-
-  /// Threads for the scatter fan-out and sharded top-k (0 or 1 = the legs
-  /// run inline). Answers are identical at any value.
-  size_t scatter_threads = 0;
 
   /// Group-commit probe coalescing on the engine-level shared ProbeCache:
   /// identical in-flight probes from concurrent sessions park on one scan.
@@ -98,7 +90,7 @@ struct ShardProbeSnapshot {
 /// scoring are unchanged); only ExecuteRowsFrom routes differently.
 /// ExecuteKeyFrom is the base class's, over that same snapshot.
 /// Thread-safe like its base class.
-class ShardedWebDatabase : public WebDatabase, public ShardRanker {
+class ShardedWebDatabase : public WebDatabase {
  public:
   /// One shard index's probe accounting. It outlives a facade: the next
   /// serving version's facade shares it, so the shard counters stay
@@ -150,12 +142,6 @@ class ShardedWebDatabase : public WebDatabase, public ShardRanker {
   Result<std::vector<uint32_t>> ExecuteRowsFrom(
       const SelectionQuery& query, size_t from_row) const override;
 
-  /// ShardRanker: per-shard top-k over the global scoring function, merged
-  /// by (score desc, row asc).
-  std::vector<std::pair<double, uint32_t>> RankTopK(
-      const std::vector<uint32_t>& rows, size_t k,
-      const std::function<double(uint32_t)>& score) const override;
-
   size_t num_shards() const { return shards_.size(); }
   const Shard& shard(size_t i) const { return shards_[i]; }
 
@@ -185,11 +171,9 @@ class ShardedWebDatabase : public WebDatabase, public ShardRanker {
   // as global row ids.
   Result<std::vector<uint32_t>> ProbeShard(size_t s,
                                            const SelectionQuery& query,
-                                           size_t from_row,
-                                           uint64_t request_id) const;
+                                           size_t from_row) const;
 
   std::vector<Shard> shards_;
-  size_t scatter_threads_ = 0;
   TraceRecorder* trace_ = nullptr;
 };
 

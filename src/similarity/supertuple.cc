@@ -35,89 +35,6 @@ std::string SuperTuple::ToString(const Schema& schema,
   return out;
 }
 
-Result<uint64_t> SuperTuple::SpillBags(storage::SpillFile* file) {
-  if (bags_spilled_) {
-    return Status::FailedPrecondition("supertuple bags already spilled");
-  }
-  // Record layout (little-endian): u32 bag count, then per bag a u32 entry
-  // count followed by (u32 id, u64 count) pairs.
-  std::vector<uint8_t> buf;
-  auto put_u32 = [&buf](uint32_t v) {
-    for (int s = 0; s < 32; s += 8) buf.push_back((v >> s) & 0xff);
-  };
-  auto put_u64 = [&buf](uint64_t v) {
-    for (int s = 0; s < 64; s += 8) buf.push_back((v >> s) & 0xff);
-  };
-  put_u32(static_cast<uint32_t>(coded_bags_.size()));
-  for (const CodedBag& bag : coded_bags_) {
-    put_u32(static_cast<uint32_t>(bag.ids().size()));
-    for (size_t e = 0; e < bag.ids().size(); ++e) {
-      put_u32(bag.ids()[e]);
-      put_u64(bag.counts()[e]);
-    }
-  }
-  // Length prefix so LoadBags knows how much to page back in.
-  std::vector<uint8_t> record;
-  record.reserve(8 + buf.size());
-  const uint64_t payload = buf.size();
-  for (int s = 0; s < 64; s += 8) record.push_back((payload >> s) & 0xff);
-  record.insert(record.end(), buf.begin(), buf.end());
-  AIMQ_ASSIGN_OR_RETURN(const uint64_t offset,
-                        file->Append(record.data(), record.size()));
-  coded_bags_.clear();
-  bags_spilled_ = true;
-  return offset;
-}
-
-Status SuperTuple::LoadBags(const storage::SpillFile& file, uint64_t offset) {
-  if (!bags_spilled_) {
-    return Status::FailedPrecondition("supertuple bags are resident");
-  }
-  uint8_t header[8];
-  AIMQ_RETURN_NOT_OK(file.ReadAt(offset, sizeof(header), header));
-  uint64_t payload = 0;
-  for (int s = 0; s < 8; ++s) payload |= uint64_t{header[s]} << (8 * s);
-  std::vector<uint8_t> buf(payload);
-  if (payload > 0) {
-    AIMQ_RETURN_NOT_OK(file.ReadAt(offset + sizeof(header), payload,
-                                   buf.data()));
-  }
-  size_t pos = 0;
-  auto get_u32 = [&buf, &pos, payload]() -> Result<uint32_t> {
-    if (pos + 4 > payload) {
-      return Status::IOError("truncated supertuple bag record");
-    }
-    uint32_t v = 0;
-    for (int s = 0; s < 4; ++s) v |= uint32_t{buf[pos++]} << (8 * s);
-    return v;
-  };
-  auto get_u64 = [&buf, &pos, payload]() -> Result<uint64_t> {
-    if (pos + 8 > payload) {
-      return Status::IOError("truncated supertuple bag record");
-    }
-    uint64_t v = 0;
-    for (int s = 0; s < 8; ++s) v |= uint64_t{buf[pos++]} << (8 * s);
-    return v;
-  };
-  AIMQ_ASSIGN_OR_RETURN(const uint32_t num_bags, get_u32());
-  std::vector<CodedBag> bags;
-  bags.reserve(num_bags);
-  for (uint32_t b = 0; b < num_bags; ++b) {
-    AIMQ_ASSIGN_OR_RETURN(const uint32_t num_entries, get_u32());
-    std::vector<std::pair<uint32_t, uint64_t>> entries;
-    entries.reserve(num_entries);
-    for (uint32_t e = 0; e < num_entries; ++e) {
-      AIMQ_ASSIGN_OR_RETURN(const uint32_t id, get_u32());
-      AIMQ_ASSIGN_OR_RETURN(const uint64_t count, get_u64());
-      entries.emplace_back(id, count);
-    }
-    bags.push_back(CodedBag::FromSortedEntries(std::move(entries)));
-  }
-  coded_bags_ = std::move(bags);
-  bags_spilled_ = false;
-  return Status::OK();
-}
-
 SuperTupleBuilder::SuperTupleBuilder(const Relation& sample,
                                      SuperTupleOptions options)
     : sample_(sample), cols_(sample.columnar()), options_(options) {

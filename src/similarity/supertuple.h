@@ -23,7 +23,6 @@
 #include "relation/columnar.h"
 #include "relation/relation.h"
 #include "similarity/av_pair.h"
-#include "storage/spill_file.h"
 #include "util/coded_bag.h"
 #include "util/status.h"
 
@@ -93,24 +92,10 @@ class SuperTuple {
   /// Table-1-style rendering (top keywords of every unbound attribute).
   std::string ToString(const Schema& schema, size_t max_keywords = 5) const;
 
-  /// Serializes the finalized bags into \p file and releases their memory,
-  /// returning the record's offset for LoadBags. Memory-budget hook for
-  /// mining at scale: between construction and pairwise estimation, only the
-  /// attribute currently being estimated needs its bags resident.
-  Result<uint64_t> SpillBags(storage::SpillFile* file);
-
-  /// Restores bags previously written by SpillBags (exact round trip: the
-  /// reloaded bags are entry-identical, so downstream VSim arithmetic is
-  /// bit-identical to the never-spilled path).
-  Status LoadBags(const storage::SpillFile& file, uint64_t offset);
-
-  bool bags_spilled() const { return bags_spilled_; }
-
  private:
   AVPair av_;
   size_t support_ = 0;
   std::vector<CodedBag> coded_bags_;
-  bool bags_spilled_ = false;
   std::shared_ptr<const SuperTupleVocab> vocab_;
 };
 

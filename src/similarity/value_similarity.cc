@@ -188,42 +188,13 @@ Result<ValueSimilarityModel> SimilarityMiner::MineAttributes(
     timings->supertuple_seconds = build_watch.ElapsedSeconds();
   }
 
-  // Optional bag spill between the phases: serialize every supertuple's
-  // bags to disk (serially — the spill file is append-only), then page each
-  // attribute's bags back in at the start of its estimation worker. Loads
-  // use pread and are safe to run concurrently.
-  std::unique_ptr<storage::SpillFile> bag_spill;
-  std::vector<std::vector<uint64_t>> bag_offsets(attributes.size());
-  if (!options_.bag_spill_path.empty()) {
-    AIMQ_ASSIGN_OR_RETURN(bag_spill,
-                          storage::SpillFile::Create(options_.bag_spill_path));
-    for (size_t idx = 0; idx < attributes.size(); ++idx) {
-      bag_offsets[idx].reserve(supertuples[idx].size());
-      for (SuperTuple& st : supertuples[idx]) {
-        AIMQ_ASSIGN_OR_RETURN(const uint64_t offset,
-                              st.SpillBags(bag_spill.get()));
-        bag_offsets[idx].push_back(offset);
-      }
-    }
-  }
-
   // Phase 2 — pairwise estimation, parallel across attributes; each worker
   // fills only its own attribute's model slot.
   Stopwatch estimate_watch;
   std::vector<ValueSimilarityModel::AttrModel> models(attributes.size());
-  std::vector<Status> load_statuses(attributes.size());
   ParallelFor(attributes.size(), options_.num_threads, [&](size_t idx) {
     const size_t attr = attributes[idx];
-    std::vector<SuperTuple>& sts = supertuples[idx];
-    if (bag_spill != nullptr) {
-      for (size_t i = 0; i < sts.size(); ++i) {
-        const Status st = sts[i].LoadBags(*bag_spill, bag_offsets[idx][i]);
-        if (!st.ok()) {
-          load_statuses[idx] = st;
-          return;
-        }
-      }
-    }
+    const std::vector<SuperTuple>& sts = supertuples[idx];
 
     // Feature weights: Wimp renormalized over the unbound attributes so a
     // perfect match of every feature bag yields VSim = 1.
@@ -263,9 +234,6 @@ Result<ValueSimilarityModel> SimilarityMiner::MineAttributes(
       }
     }
   });
-  for (const Status& st : load_statuses) {
-    AIMQ_RETURN_NOT_OK(st);
-  }
   for (size_t idx = 0; idx < attributes.size(); ++idx) {
     model.attrs_.emplace(attributes[idx], std::move(models[idx]));
   }

@@ -28,13 +28,6 @@ struct SimilarityMinerOptions {
   /// Worker threads for supertuple construction and pairwise estimation
   /// (parallel across attributes). 0 = auto, 1 = serial.
   size_t num_threads = 0;
-
-  /// When non-empty, supertuple bags are spilled to this file after
-  /// construction and paged back in per attribute during pairwise
-  /// estimation, bounding resident bag memory to the attributes currently
-  /// being estimated. The mined model is bit-identical to the resident path
-  /// (bags round-trip entry-exact).
-  std::string bag_spill_path;
 };
 
 /// \brief Mined value-value similarities for every categorical attribute.

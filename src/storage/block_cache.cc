@@ -4,14 +4,6 @@
 
 namespace aimq {
 namespace storage {
-namespace {
-
-size_t BlockBytes(const DecodedBlock& block) {
-  return block ? block->size() * sizeof(uint32_t) : 0;
-}
-
-}  // namespace
-
 DecodedBlock BlockCache::GetOrLoad(
     BlockKey key, const std::function<DecodedBlock()>& loader) {
   {
@@ -19,69 +11,32 @@ DecodedBlock BlockCache::GetOrLoad(
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++hits_;
-      if (!it->second.pinned) {
-        lru_.splice(lru_.end(), lru_, it->second.lru_it);
-      }
+      lru_.splice(lru_.end(), lru_, it->second.lru_it);
       return it->second.block;
     }
     ++misses_;
   }
-  // Load outside the lock: spill reads and unpacking are the slow part, and
-  // holding the mutex across them would serialize concurrent readers. The
-  // loader is timed so the scrapeable decode cost covers exactly this
-  // unserialized window.
+  // Load outside the lock: unpacking is the slow part, and holding the
+  // mutex across it would serialize concurrent readers. The loader is timed
+  // so the scrapeable decode cost covers exactly this unserialized window.
   const auto load_start = std::chrono::steady_clock::now();
   DecodedBlock block = loader();
   const uint64_t load_nanos = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - load_start)
           .count());
-  if (block == nullptr) return block;
   std::lock_guard<std::mutex> lock(mu_);
   decode_nanos_ += load_nanos;
   if (entries_.find(key) == entries_.end()) {
-    InsertLocked(key, block, /*pinned=*/false);
+    Entry entry;
+    entry.bytes = block->size() * sizeof(uint32_t);
+    entry.block = block;
+    entry.lru_it = lru_.insert(lru_.end(), key);
+    resident_bytes_ += entry.bytes;
+    entries_.emplace(key, std::move(entry));
     EvictLocked();
   }
   return block;
-}
-
-void BlockCache::Pin(BlockKey key, DecodedBlock block) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    if (!it->second.pinned) {
-      lru_.erase(it->second.lru_it);
-      it->second.pinned = true;
-      pinned_bytes_ += it->second.bytes;
-    }
-    return;
-  }
-  InsertLocked(key, std::move(block), /*pinned=*/true);
-  EvictLocked();
-}
-
-void BlockCache::Unpin(BlockKey key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end() || !it->second.pinned) return;
-  it->second.pinned = false;
-  pinned_bytes_ -= it->second.bytes;
-  it->second.lru_it = lru_.insert(lru_.end(), key);
-  EvictLocked();
-}
-
-void BlockCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.pinned) {
-      ++it;
-      continue;
-    }
-    resident_bytes_ -= it->second.bytes;
-    it = entries_.erase(it);
-  }
-  lru_.clear();
 }
 
 BlockCache::Stats BlockCache::GetStats() const {
@@ -91,29 +46,13 @@ BlockCache::Stats BlockCache::GetStats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.resident_bytes = resident_bytes_;
-  s.pinned_bytes = pinned_bytes_;
   s.decode_nanos = decode_nanos_;
   return s;
 }
 
-void BlockCache::InsertLocked(BlockKey key, DecodedBlock block, bool pinned) {
-  Entry entry;
-  entry.bytes = BlockBytes(block);
-  entry.block = std::move(block);
-  entry.pinned = pinned;
-  resident_bytes_ += entry.bytes;
-  if (pinned) {
-    pinned_bytes_ += entry.bytes;
-  } else {
-    entry.lru_it = lru_.insert(lru_.end(), key);
-  }
-  entries_.emplace(key, std::move(entry));
-}
-
 void BlockCache::EvictLocked() {
   if (budget_bytes_ == 0) return;
-  while (resident_bytes_ - pinned_bytes_ > 0 &&
-         resident_bytes_ > budget_bytes_ && !lru_.empty()) {
+  while (resident_bytes_ > budget_bytes_ && !lru_.empty()) {
     const BlockKey victim = lru_.front();
     lru_.pop_front();
     auto it = entries_.find(victim);

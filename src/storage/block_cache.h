@@ -1,13 +1,11 @@
 // BlockCache: the memory-budget manager for decoded code blocks.
 //
 // Decoded blocks (plain uint32_t vectors) are the only large transient the
-// packed path keeps in RAM; everything else is per-block metadata. The cache
-// enforces `--allowed-memory` as a byte budget over resident decoded blocks:
-// lookups move a block to the MRU end, misses load outside the lock and
-// insert, and inserts evict from the LRU end until the budget holds again.
-// Pinned blocks (hot dictionary-dense prefixes, a scan's current block) are
-// never evicted and may push residency above budget — pinning is an explicit
-// caller decision, not a policy.
+// packed path keeps in RAM beside the bit-packed payloads themselves. The
+// cache enforces `--allowed-memory` as a byte budget over resident decoded
+// blocks: lookups move a block to the MRU end, misses unpack outside the
+// lock and insert, and inserts evict from the LRU end until the budget holds
+// again.
 //
 // Entries are shared_ptrs, so eviction never invalidates a block a reader is
 // still holding; the budget bounds what the *cache* keeps alive, which is
@@ -37,36 +35,26 @@ inline BlockKey MakeBlockKey(size_t col, size_t block) {
   return static_cast<uint64_t>(col) << 40 | static_cast<uint64_t>(block);
 }
 
-/// LRU cache of decoded blocks with a byte budget and pinning.
+/// LRU cache of decoded blocks with a byte budget.
 class BlockCache {
  public:
-  /// \p budget_bytes bounds resident unpinned decoded bytes; 0 means
-  /// unlimited (nothing is ever evicted).
+  /// \p budget_bytes bounds resident decoded bytes; 0 means unlimited
+  /// (nothing is ever evicted).
   explicit BlockCache(size_t budget_bytes) : budget_bytes_(budget_bytes) {}
 
-  /// Returns the cached block or loads it via \p loader (called without the
-  /// cache lock held; concurrent misses on the same key may load twice —
+  /// Returns the cached block or loads it via \p loader, which must return
+  /// a block (called without the cache lock held; concurrent misses on the same key may load twice —
   /// blocks are immutable, so the duplicate is dropped, not wrong).
   DecodedBlock GetOrLoad(BlockKey key,
                          const std::function<DecodedBlock()>& loader);
-
-  /// Marks \p key as never-evictable (inserting it if absent).
-  void Pin(BlockKey key, DecodedBlock block);
-
-  /// Undoes Pin; the block becomes ordinary MRU content.
-  void Unpin(BlockKey key);
-
-  /// Drops every unpinned entry (test hook for cold-start scenarios).
-  void Clear();
 
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    size_t resident_bytes = 0;  ///< decoded bytes held, pinned included
-    size_t pinned_bytes = 0;
-    /// Wall time spent inside miss loaders (spill read + unpack + codec),
-    /// cumulatively — the decode cost the cache failed to absorb.
+    size_t resident_bytes = 0;  ///< decoded bytes held
+    /// Wall time spent inside miss loaders (unpack), cumulatively — the
+    /// decode cost the cache failed to absorb.
     uint64_t decode_nanos = 0;
   };
   Stats GetStats() const;
@@ -77,20 +65,17 @@ class BlockCache {
   struct Entry {
     DecodedBlock block;
     size_t bytes = 0;
-    bool pinned = false;
-    std::list<BlockKey>::iterator lru_it;  // valid iff !pinned
+    std::list<BlockKey>::iterator lru_it;
   };
 
   // Requires mu_ held. Evicts LRU entries until the budget holds.
   void EvictLocked();
-  void InsertLocked(BlockKey key, DecodedBlock block, bool pinned);
 
   const size_t budget_bytes_;
   mutable std::mutex mu_;
   std::unordered_map<BlockKey, Entry> entries_;
-  std::list<BlockKey> lru_;  // front = LRU, back = MRU; unpinned only
+  std::list<BlockKey> lru_;  // front = LRU, back = MRU
   size_t resident_bytes_ = 0;
-  size_t pinned_bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

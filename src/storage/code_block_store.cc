@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace aimq {
@@ -29,15 +27,10 @@ CodeBlockStore::CodeBlockStore(BlockStoreOptions opts, size_t num_cols)
       columns_(num_cols),
       cache_(opts_.budget_bytes) {}
 
-Result<std::unique_ptr<CodeBlockStore>> CodeBlockStore::Create(
-    BlockStoreOptions opts, size_t num_cols) {
-  std::unique_ptr<CodeBlockStore> store(
+std::unique_ptr<CodeBlockStore> CodeBlockStore::Create(BlockStoreOptions opts,
+                                                       size_t num_cols) {
+  return std::unique_ptr<CodeBlockStore>(
       new CodeBlockStore(std::move(opts), num_cols));
-  if (!store->opts_.spill_path.empty()) {
-    AIMQ_ASSIGN_OR_RETURN(store->spill_,
-                          SpillFile::Create(store->opts_.spill_path));
-  }
-  return store;
 }
 
 Status CodeBlockStore::Append(size_t col, const uint32_t* codes, size_t n) {
@@ -55,58 +48,29 @@ Status CodeBlockStore::Append(size_t col, const uint32_t* codes, size_t n) {
     column.pending.insert(column.pending.end(), codes + done,
                           codes + done + take);
     done += take;
-    if (column.pending.size() == block_size_) {
-      AIMQ_RETURN_NOT_OK(SealBlock(col));
-    }
+    if (column.pending.size() == block_size_) SealBlock(col);
   }
   return Status::OK();
 }
 
-Status CodeBlockStore::SealBlock(size_t col) {
+void CodeBlockStore::SealBlock(size_t col) {
   Column& column = columns_[col];
-  if (column.pending.empty()) return Status::OK();
+  if (column.pending.empty()) return;
   BlockMeta meta;
   meta.count = static_cast<uint32_t>(column.pending.size());
   const PackSpec spec = Analyze(column.pending.data(), column.pending.size());
   meta.base = spec.base;
   meta.width = spec.width;
-  std::vector<uint8_t> packed(PackedBytes(spec.width, meta.count));
-  Pack(column.pending.data(), meta.count, spec, packed.data());
-  meta.packed_bytes = static_cast<uint32_t>(packed.size());
-
-  // Codec pass: keep the compressed form only when it actually shrinks.
-  std::vector<uint8_t> stored = std::move(packed);
-  meta.codec_used = static_cast<uint8_t>(CodecKind::kNone);
-  if (opts_.codec != CodecKind::kNone &&
-      stored.size() >= opts_.codec_min_bytes) {
-    const BlockCodec* codec = CodecFor(opts_.codec);
-    std::vector<uint8_t> compressed;
-    codec->Compress(stored.data(), stored.size(), &compressed);
-    if (compressed.size() < stored.size()) {
-      stored = std::move(compressed);
-      meta.codec_used = static_cast<uint8_t>(opts_.codec);
-    }
-  }
-  meta.stored_bytes = static_cast<uint32_t>(stored.size());
-  packed_bytes_total_ += meta.packed_bytes;
-  stored_bytes_total_ += meta.stored_bytes;
-
-  if (spill_ != nullptr) {
-    AIMQ_ASSIGN_OR_RETURN(meta.spill_offset,
-                          spill_->Append(stored.data(), stored.size()));
-  } else {
-    meta.mem = std::move(stored);
-  }
+  meta.packed.resize(PackedBytes(spec.width, meta.count));
+  Pack(column.pending.data(), meta.count, spec, meta.packed.data());
+  stored_bytes_total_ += meta.packed.size();
   column.blocks.push_back(std::move(meta));
   column.pending.clear();
-  return Status::OK();
 }
 
 Status CodeBlockStore::FinishBuild() {
   if (built_) return Status::OK();
-  for (size_t col = 0; col < columns_.size(); ++col) {
-    AIMQ_RETURN_NOT_OK(SealBlock(col));
-  }
+  for (size_t col = 0; col < columns_.size(); ++col) SealBlock(col);
   size_t rows = 0;
   for (size_t col = 0; col < columns_.size(); ++col) {
     size_t col_rows = 0;
@@ -123,82 +87,17 @@ Status CodeBlockStore::FinishBuild() {
   return Status::OK();
 }
 
-Result<DecodedBlock> CodeBlockStore::LoadBlock(size_t col,
-                                               size_t block) const {
+DecodedBlock CodeBlockStore::LoadBlock(size_t col, size_t block) const {
   const BlockMeta& meta = columns_[col].blocks[block];
-  std::vector<uint8_t> scratch;
-  const uint8_t* stored = nullptr;
-  if (spill_ != nullptr) {
-    scratch.resize(meta.stored_bytes);
-    AIMQ_RETURN_NOT_OK(
-        spill_->ReadAt(meta.spill_offset, meta.stored_bytes, scratch.data()));
-    stored = scratch.data();
-  } else {
-    stored = meta.mem.data();
-  }
-  std::vector<uint8_t> decompressed;
-  const uint8_t* packed = stored;
-  if (meta.codec_used != static_cast<uint8_t>(CodecKind::kNone)) {
-    const BlockCodec* codec =
-        CodecFor(static_cast<CodecKind>(meta.codec_used));
-    AIMQ_RETURN_NOT_OK(codec->Decompress(stored, meta.stored_bytes,
-                                         meta.packed_bytes, &decompressed));
-    packed = decompressed.data();
-  }
   auto out = std::make_shared<std::vector<uint32_t>>(meta.count);
-  Unpack(packed, meta.count, PackSpec{meta.base, meta.width}, out->data());
-  return DecodedBlock(std::move(out));
-}
-
-Result<DecodedBlock> CodeBlockStore::TryGetBlock(size_t col,
-                                                 size_t block) const {
-  Status failure = Status::OK();
-  DecodedBlock out = cache_.GetOrLoad(
-      MakeBlockKey(col, block), [&]() -> DecodedBlock {
-        Result<DecodedBlock> loaded = LoadBlock(col, block);
-        if (!loaded.ok()) {
-          failure = loaded.status();
-          return nullptr;
-        }
-        return loaded.TakeValue();
-      });
-  if (out == nullptr) {
-    return failure.ok()
-               ? Status::Internal("block loader returned no block")
-               : failure;
-  }
+  Unpack(meta.packed.data(), meta.count, PackSpec{meta.base, meta.width},
+         out->data());
   return out;
 }
 
 DecodedBlock CodeBlockStore::GetBlock(size_t col, size_t block) const {
-  Result<DecodedBlock> out = TryGetBlock(col, block);
-  if (!out.ok()) {
-    // Post-build read failure is storage corruption; no caller can produce
-    // a correct answer past this point.
-    std::fprintf(stderr, "fatal: block store read (col=%zu block=%zu): %s\n",
-                 col, block, out.status().ToString().c_str());
-    std::abort();
-  }
-  return out.TakeValue();
-}
-
-Status CodeBlockStore::Pin(size_t col, size_t block) {
-  AIMQ_ASSIGN_OR_RETURN(DecodedBlock decoded, TryGetBlock(col, block));
-  cache_.Pin(MakeBlockKey(col, block), std::move(decoded));
-  return Status::OK();
-}
-
-void CodeBlockStore::Unpin(size_t col, size_t block) {
-  cache_.Unpin(MakeBlockKey(col, block));
-}
-
-Status CodeBlockStore::ReopenSpill() {
-  if (spill_ == nullptr) {
-    return Status::FailedPrecondition("block store has no spill file");
-  }
-  AIMQ_RETURN_NOT_OK(spill_->Reopen());
-  cache_.Clear();
-  return Status::OK();
+  return cache_.GetOrLoad(MakeBlockKey(col, block),
+                          [&] { return LoadBlock(col, block); });
 }
 
 BlockStoreStats CodeBlockStore::GetStats() const {
@@ -207,10 +106,7 @@ BlockStoreStats CodeBlockStore::GetStats() const {
   s.num_cols = columns_.size();
   s.num_blocks = NumBlocks();
   s.plain_bytes = num_rows_ * columns_.size() * sizeof(uint32_t);
-  s.packed_bytes = packed_bytes_total_;
   s.stored_bytes = stored_bytes_total_;
-  s.spilled_bytes = spill_ != nullptr ? stored_bytes_total_ : 0;
-  s.codec = opts_.codec;
   s.cache = cache_.GetStats();
   return s;
 }

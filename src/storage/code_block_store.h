@@ -1,13 +1,12 @@
 // CodeBlockStore: block-sliced, bit-packed storage for the code columns of
-// one relation snapshot, with an optional codec layer, an optional spill
-// file, and a byte-budgeted cache of decoded blocks.
+// one relation snapshot, held in memory, with a byte-budgeted cache of
+// decoded blocks.
 //
 // Layout: every column is cut into fixed-size row blocks (power-of-two rows
 // per block, same grid for all columns, last block ragged). Each block is
-// bit-packed against its own frame of reference (storage/bitpack.h), then
-// optionally run through a BlockCodec; the stored bytes either stay in
-// memory or are appended to a SpillFile. Reads go through a BlockCache that
-// enforces `--allowed-memory` over decoded bytes, plus a small thread-local
+// bit-packed against its own frame of reference (storage/bitpack.h) and the
+// packed bytes stay in memory. Reads go through a BlockCache that enforces
+// `--allowed-memory` over decoded bytes, plus a small thread-local
 // direct-mapped mini-cache so random At() probes (similarity scoring) skip
 // the cache mutex on repeat hits to the same block.
 //
@@ -15,24 +14,20 @@
 // columns are buffered independently) -> FinishBuild(). After FinishBuild
 // the store is immutable and all read paths are safe to use concurrently.
 //
-// Error model: build-time and reopen failures return Status. Read-path
-// failures after a successful build (spill I/O error, corrupt payload) are
-// unrecoverable storage corruption: GetBlock/At crash with a diagnostic
-// rather than silently degrade answers. TryGetBlock exposes the Status for
-// tests that exercise the corruption path.
+// Error model: Append and FinishBuild return Status for misuse (appends
+// after the build, an unknown column, unequal column lengths). Reads cannot
+// fail: every block's packed bytes are in memory, and unpacking them is
+// total.
 
 #ifndef AIMQ_STORAGE_CODE_BLOCK_STORE_H_
 #define AIMQ_STORAGE_CODE_BLOCK_STORE_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "storage/bitpack.h"
 #include "storage/block_cache.h"
-#include "storage/block_codec.h"
-#include "storage/spill_file.h"
 #include "util/status.h"
 
 namespace aimq {
@@ -43,18 +38,9 @@ struct BlockStoreOptions {
   /// Rows per block; rounded up to a power of two (and at least 64).
   size_t block_size = 1u << 16;
 
-  /// Codec applied to each packed block (skipped per block when it does not
-  /// shrink the payload, or the payload is under codec_min_bytes).
-  CodecKind codec = CodecKind::kNone;
-  size_t codec_min_bytes = 64;
-
   /// Byte budget for resident decoded blocks (`--allowed-memory`); 0 means
-  /// unlimited. Pinned blocks may exceed it.
+  /// unlimited.
   size_t budget_bytes = 0;
-
-  /// When non-empty, stored block bytes are appended to this file and paged
-  /// in on demand; when empty, they stay in memory (still packed).
-  std::string spill_path;
 };
 
 /// Aggregate footprint and traffic counters for one store.
@@ -62,11 +48,8 @@ struct BlockStoreStats {
   size_t num_rows = 0;
   size_t num_cols = 0;
   size_t num_blocks = 0;      ///< per column
-  size_t plain_bytes = 0;     ///< 4 bytes/code, the uncompressed baseline
-  size_t packed_bytes = 0;    ///< bit-packed payloads before any codec
-  size_t stored_bytes = 0;    ///< bytes actually kept (post-codec)
-  size_t spilled_bytes = 0;   ///< portion of stored_bytes living on disk
-  CodecKind codec = CodecKind::kNone;
+  size_t plain_bytes = 0;     ///< 4 bytes/code, the unpacked baseline
+  size_t stored_bytes = 0;    ///< bit-packed payload bytes kept in memory
   BlockCache::Stats cache;
 };
 
@@ -85,9 +68,9 @@ inline thread_local TlsBlockSlot g_tls_block_slots[kTlsBlockSlots];
 /// Block-sliced bit-packed store for \p num_cols code columns.
 class CodeBlockStore {
  public:
-  /// Creates an empty store (and its spill file, if configured).
-  static Result<std::unique_ptr<CodeBlockStore>> Create(BlockStoreOptions opts,
-                                                        size_t num_cols);
+  /// Creates an empty store.
+  static std::unique_ptr<CodeBlockStore> Create(BlockStoreOptions opts,
+                                                size_t num_cols);
   CodeBlockStore(const CodeBlockStore&) = delete;
   CodeBlockStore& operator=(const CodeBlockStore&) = delete;
 
@@ -119,11 +102,8 @@ class CodeBlockStore {
     return remaining < block_size_ ? remaining : block_size_;
   }
 
-  /// Decoded block, via the cache. Crashes on storage corruption.
+  /// Decoded block, via the cache.
   DecodedBlock GetBlock(size_t col, size_t block) const;
-
-  /// Status-returning variant of GetBlock, for corruption tests.
-  Result<DecodedBlock> TryGetBlock(size_t col, size_t block) const;
 
   /// Random access to one code, through the thread-local mini-cache. Safe to
   /// call concurrently after FinishBuild.
@@ -141,10 +121,6 @@ class CodeBlockStore {
     }
     return slot.data[row & block_mask_];
   }
-
-  /// Pins a block into the cache (never evicted until Unpin).
-  Status Pin(size_t col, size_t block);
-  void Unpin(size_t col, size_t block);
 
   /// Sequential per-block reader for one column.
   class Cursor {
@@ -181,22 +157,14 @@ class CodeBlockStore {
     return Cursor(this, col, first_block);
   }
 
-  /// Closes and reopens the spill file (test hook proving answers survive a
-  /// cold restart). Drops all unpinned cached blocks.
-  Status ReopenSpill();
-
   BlockStoreStats GetStats() const;
 
  private:
   struct BlockMeta {
-    uint32_t count = 0;         // rows in the block
-    uint32_t base = 0;          // frame of reference
-    uint8_t width = 0;          // bits per entry
-    uint8_t codec_used = 0;     // CodecKind actually applied to this block
-    uint32_t packed_bytes = 0;  // payload size before codec
-    uint32_t stored_bytes = 0;  // payload size as kept
-    uint64_t spill_offset = 0;  // valid when spilling
-    std::vector<uint8_t> mem;   // the stored bytes, when not spilling
+    uint32_t count = 0;           // rows in the block
+    uint32_t base = 0;            // frame of reference
+    uint8_t width = 0;            // bits per entry
+    std::vector<uint8_t> packed;  // the bit-packed payload
   };
 
   struct Column {
@@ -206,8 +174,8 @@ class CodeBlockStore {
 
   CodeBlockStore(BlockStoreOptions opts, size_t num_cols);
 
-  Status SealBlock(size_t col);
-  Result<DecodedBlock> LoadBlock(size_t col, size_t block) const;
+  void SealBlock(size_t col);
+  DecodedBlock LoadBlock(size_t col, size_t block) const;
 
   BlockStoreOptions opts_;
   size_t block_size_ = 0;
@@ -215,10 +183,8 @@ class CodeBlockStore {
   size_t block_mask_ = 0;
   uint64_t id_ = 0;  // process-unique, keys the thread-local mini-cache
   std::vector<Column> columns_;
-  std::unique_ptr<SpillFile> spill_;
   mutable BlockCache cache_;
   size_t num_rows_ = 0;
-  size_t packed_bytes_total_ = 0;
   size_t stored_bytes_total_ = 0;
   bool built_ = false;
 };

@@ -6,19 +6,6 @@
 
 namespace aimq {
 
-CodedBag CodedBag::FromSortedEntries(
-    std::vector<std::pair<uint32_t, uint64_t>> entries) {
-  CodedBag bag;
-  bag.ids_.reserve(entries.size());
-  bag.counts_.reserve(entries.size());
-  for (const auto& [id, count] : entries) {
-    bag.ids_.push_back(id);
-    bag.counts_.push_back(count);
-    bag.total_ += count;
-  }
-  return bag;
-}
-
 void CodedBag::Add(uint32_t id, uint64_t count) {
   if (count == 0) return;
   pending_.emplace_back(id, count);

@@ -26,12 +26,6 @@ class CodedBag {
  public:
   CodedBag() = default;
 
-  /// Reconstructs a finalized bag from its canonical sorted-unique entries
-  /// (as returned by entries()) — the deserialization path of bag spilling.
-  /// The round trip through entries() is exact.
-  static CodedBag FromSortedEntries(
-      std::vector<std::pair<uint32_t, uint64_t>> entries);
-
   /// Records \p count occurrences of \p id. Ids may arrive in any order and
   /// repeat; call Finalize() once after the last Add before querying.
   void Add(uint32_t id, uint64_t count = 1);

@@ -73,7 +73,7 @@ class WebDatabase {
     BuildIndexes();
   }
 
-  /// Wraps a packed (block-compressed, possibly spilled) columnar snapshot
+  /// Wraps a packed (bit-packed in-memory blocks) columnar snapshot
   /// directly — no row-store copy and no posting lists are materialized, so
   /// a streamed 10M-tuple source costs only its packed blocks plus the
   /// dictionaries. Queries fall back to block scans unless BuildPostingLists

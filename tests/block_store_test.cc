@@ -1,30 +1,20 @@
 // CodeBlockStore tests: build/scan/random-access equivalence against a plain
-// vector reference, budget-driven eviction, pinning, cursor iteration, and
-// the spill file close/reopen seam (answers must come back byte-identical
-// after a cold restart).
+// vector reference, budget-driven eviction, cursor iteration, and build-time
+// misuse.
 
 #include "storage/code_block_store.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "storage/spill_file.h"
 #include "util/rng.h"
 
 namespace aimq {
 namespace storage {
 namespace {
-
-std::string TempPath(const std::string& tag) {
-  return testing::TempDir() + "aimq_block_store_" + tag + "_" +
-         std::to_string(::getpid()) + ".spill";
-}
 
 // Reference columns: clustered codes with nulls sprinkled in, sized to span
 // several blocks including a ragged final one.
@@ -48,10 +38,10 @@ std::vector<std::vector<uint32_t>> MakeReference(size_t cols, size_t rows,
 }
 
 std::unique_ptr<CodeBlockStore> BuildStore(
-    const std::vector<std::vector<uint32_t>>& ref, BlockStoreOptions opts) {
-  auto created = CodeBlockStore::Create(std::move(opts), ref.size());
-  EXPECT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<CodeBlockStore> store = created.TakeValue();
+    const std::vector<std::vector<uint32_t>>& ref,
+    const BlockStoreOptions& opts) {
+  std::unique_ptr<CodeBlockStore> store =
+      CodeBlockStore::Create(opts, ref.size());
   // Interleave chunked appends across columns to exercise buffering.
   const size_t rows = ref.empty() ? 0 : ref[0].size();
   const size_t chunk = 100;
@@ -109,73 +99,13 @@ TEST(BlockStoreTest, PackedFootprintBeatsPlain) {
   const BlockStoreStats stats = store->GetStats();
   EXPECT_EQ(stats.plain_bytes, 4u * 4u * 20'000u);
   // 97 distinct clustered values need ~7 bits, not 32.
-  EXPECT_LT(stats.packed_bytes, stats.plain_bytes / 2);
-  EXPECT_EQ(stats.stored_bytes, stats.packed_bytes);  // no codec
-  EXPECT_EQ(stats.spilled_bytes, 0u);
-}
-
-TEST(BlockStoreTest, CodecShrinksStoredBytes) {
-  // Constant columns compress to almost nothing under the lite codec.
-  std::vector<std::vector<uint32_t>> ref(2);
-  ref[0].assign(50'000, 7);
-  ref[1].assign(50'000, 123456);
-  BlockStoreOptions opts;
-  opts.block_size = 4096;
-  opts.codec = CodecKind::kLite;
-  auto store = BuildStore(ref, opts);
-  const BlockStoreStats stats = store->GetStats();
-  EXPECT_LT(stats.stored_bytes, stats.packed_bytes);
-  ExpectStoreMatchesReference(*store, ref);
-}
-
-TEST(BlockStoreTest, SpillRoundTrip) {
-  const auto ref = MakeReference(3, 5'000, 21);
-  BlockStoreOptions opts;
-  opts.block_size = 256;
-  opts.codec = CodecKind::kLite;
-  opts.spill_path = TempPath("roundtrip");
-  auto store = BuildStore(ref, opts);
-  const BlockStoreStats stats = store->GetStats();
-  EXPECT_GT(stats.spilled_bytes, 0u);
-  EXPECT_EQ(stats.spilled_bytes, stats.stored_bytes);
-  ExpectStoreMatchesReference(*store, ref);
-}
-
-TEST(BlockStoreTest, SpillSurvivesCloseAndReopenByteIdentical) {
-  const auto ref = MakeReference(2, 3'000, 42);
-  BlockStoreOptions opts;
-  opts.block_size = 128;
-  opts.codec = CodecKind::kLite;
-  opts.spill_path = TempPath("reopen");
-  auto store = BuildStore(ref, opts);
-
-  // Read everything once (warm), then close + reopen the spill file and
-  // drop the cache: the cold re-read must be byte-identical.
-  std::vector<uint32_t> warm;
-  for (size_t c = 0; c < ref.size(); ++c) {
-    auto cursor = store->ColumnCursor(c);
-    while (cursor.Next()) {
-      warm.insert(warm.end(), cursor.data(), cursor.data() + cursor.size());
-    }
-  }
-  ASSERT_TRUE(store->ReopenSpill().ok());
-  std::vector<uint32_t> cold;
-  for (size_t c = 0; c < ref.size(); ++c) {
-    auto cursor = store->ColumnCursor(c);
-    while (cursor.Next()) {
-      cold.insert(cold.end(), cursor.data(), cursor.data() + cursor.size());
-    }
-  }
-  EXPECT_EQ(warm, cold);
-  // And random access still matches the reference after the cold start.
-  ExpectStoreMatchesReference(*store, ref);
+  EXPECT_LT(stats.stored_bytes, stats.plain_bytes / 2);
 }
 
 TEST(BlockStoreTest, BudgetEvictsColdBlocks) {
   const auto ref = MakeReference(1, 64 * 64, 9);  // 64 blocks of 64 rows
   BlockStoreOptions opts;
   opts.block_size = 64;
-  opts.spill_path = TempPath("evict");
   // Budget fits ~4 decoded blocks (64 rows * 4 bytes = 256B each).
   opts.budget_bytes = 4 * 64 * sizeof(uint32_t);
   auto store = BuildStore(ref, opts);
@@ -184,7 +114,7 @@ TEST(BlockStoreTest, BudgetEvictsColdBlocks) {
   EXPECT_GT(stats.cache.evictions, 0u);
   EXPECT_LE(stats.cache.resident_bytes, opts.budget_bytes);
   // Touch every block again: with only 4 resident out of 64, these are
-  // (mostly) cache misses served from the spill file.
+  // (mostly) cache misses, unpacked again from the packed bytes.
   const uint64_t misses_before = stats.cache.misses;
   for (size_t b = 0; b < store->NumBlocks(); ++b) {
     store->GetBlock(0, b);
@@ -192,32 +122,8 @@ TEST(BlockStoreTest, BudgetEvictsColdBlocks) {
   EXPECT_GT(store->GetStats().cache.misses, misses_before);
 }
 
-TEST(BlockStoreTest, PinnedBlocksAreNeverEvicted) {
-  const auto ref = MakeReference(1, 64 * 32, 13);
-  BlockStoreOptions opts;
-  opts.block_size = 64;
-  opts.spill_path = TempPath("pin");
-  opts.budget_bytes = 2 * 64 * sizeof(uint32_t);  // ~2 blocks
-  auto store = BuildStore(ref, opts);
-  ASSERT_TRUE(store->Pin(0, 0).ok());
-  // Sweep every block to churn the cache far past the budget.
-  for (int sweep = 0; sweep < 3; ++sweep) {
-    for (size_t b = 0; b < store->NumBlocks(); ++b) store->GetBlock(0, b);
-  }
-  BlockStoreStats stats = store->GetStats();
-  EXPECT_EQ(stats.cache.pinned_bytes, 64 * sizeof(uint32_t));
-  // A pinned block is served without a miss even after the churn.
-  const uint64_t misses_before = stats.cache.misses;
-  store->GetBlock(0, 0);
-  EXPECT_EQ(store->GetStats().cache.misses, misses_before);
-  store->Unpin(0, 0);
-  EXPECT_EQ(store->GetStats().cache.pinned_bytes, 0u);
-}
-
 TEST(BlockStoreTest, UnequalColumnLengthsRejected) {
-  auto created = CodeBlockStore::Create(BlockStoreOptions{}, 2);
-  ASSERT_TRUE(created.ok());
-  auto store = created.TakeValue();
+  auto store = CodeBlockStore::Create(BlockStoreOptions{}, 2);
   const std::vector<uint32_t> codes(10, 1);
   ASSERT_TRUE(store->Append(0, codes.data(), codes.size()).ok());
   ASSERT_TRUE(store->Append(1, codes.data(), codes.size() - 1).ok());
@@ -225,9 +131,7 @@ TEST(BlockStoreTest, UnequalColumnLengthsRejected) {
 }
 
 TEST(BlockStoreTest, AppendAfterFinishRejected) {
-  auto created = CodeBlockStore::Create(BlockStoreOptions{}, 1);
-  ASSERT_TRUE(created.ok());
-  auto store = created.TakeValue();
+  auto store = CodeBlockStore::Create(BlockStoreOptions{}, 1);
   const std::vector<uint32_t> codes(10, 1);
   ASSERT_TRUE(store->Append(0, codes.data(), codes.size()).ok());
   ASSERT_TRUE(store->FinishBuild().ok());
@@ -235,40 +139,12 @@ TEST(BlockStoreTest, AppendAfterFinishRejected) {
 }
 
 TEST(BlockStoreTest, EmptyStore) {
-  auto created = CodeBlockStore::Create(BlockStoreOptions{}, 2);
-  ASSERT_TRUE(created.ok());
-  auto store = created.TakeValue();
+  auto store = CodeBlockStore::Create(BlockStoreOptions{}, 2);
   ASSERT_TRUE(store->FinishBuild().ok());
   EXPECT_EQ(store->num_rows(), 0u);
   EXPECT_EQ(store->NumBlocks(), 0u);
   auto cursor = store->ColumnCursor(0);
   EXPECT_FALSE(cursor.Next());
-}
-
-TEST(SpillFileTest, AppendReadReopen) {
-  auto created = SpillFile::Create(TempPath("raw"));
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  auto file = created.TakeValue();
-  const std::vector<uint8_t> a = {1, 2, 3, 4, 5};
-  const std::vector<uint8_t> b = {9, 8, 7};
-  auto off_a = file->Append(a.data(), a.size());
-  auto off_b = file->Append(b.data(), b.size());
-  ASSERT_TRUE(off_a.ok() && off_b.ok());
-  EXPECT_EQ(*off_a, 0u);
-  EXPECT_EQ(*off_b, a.size());
-  EXPECT_EQ(file->size(), a.size() + b.size());
-
-  std::vector<uint8_t> buf(b.size());
-  ASSERT_TRUE(file->ReadAt(*off_b, b.size(), buf.data()).ok());
-  EXPECT_EQ(buf, b);
-
-  ASSERT_TRUE(file->Reopen().ok());
-  std::vector<uint8_t> buf2(a.size());
-  ASSERT_TRUE(file->ReadAt(*off_a, a.size(), buf2.data()).ok());
-  EXPECT_EQ(buf2, a);
-  // Read-only after reopen: appends fail, reads past EOF fail.
-  EXPECT_FALSE(file->Append(a.data(), a.size()).ok());
-  EXPECT_FALSE(file->ReadAt(file->size(), 1, buf2.data()).ok());
 }
 
 }  // namespace

@@ -194,7 +194,6 @@ TEST_F(ExpansionMemoTest, RepeatedQueryEqualsAFreshEngineAcrossTheMatrix) {
         AimqOptions options = *options_;
         options.num_threads = threads;
         AimqEngine engine(facade->get(), *knowledge_, options);
-        engine.SetShardRanker(facade->get());
         const std::string config = std::string(is_packed ? "packed" : "plain") +
                                    " shards=" + std::to_string(shards) +
                                    " threads=" + std::to_string(threads);

@@ -250,29 +250,6 @@ TEST_F(ShardedEngineTest, FacadeAccountsProbesLikeTheSource) {
   EXPECT_EQ(shard_tuples, rows->size());
 }
 
-TEST_F(ShardedEngineTest, RankTopKMergesLikeSerialTopKWithRowIdTieBreak) {
-  auto facade = MakeFacade(/*shards=*/3, /*packed=*/false);
-  std::vector<uint32_t> rows;
-  for (uint32_t row = 0; row < 600; row += 2) rows.push_back(row);
-  // Heavily tied scores: the merge must break ties by ascending row id,
-  // exactly like a serial TopK fed ascending rows.
-  const auto score = [](uint32_t row) {
-    return static_cast<double>(row % 5);
-  };
-  for (size_t k : {1u, 7u, 50u, 600u}) {
-    const auto ranked = facade->RankTopK(rows, k, score);
-    std::vector<std::pair<double, uint32_t>> expected;
-    for (uint32_t row : rows) expected.emplace_back(score(row), row);
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto& a, const auto& b) {
-                       if (a.first != b.first) return a.first > b.first;
-                       return a.second < b.second;
-                     });
-    if (expected.size() > k) expected.resize(k);
-    EXPECT_EQ(ranked, expected) << "k=" << k;
-  }
-}
-
 // The property: for every (shards, threads, snapshot mode) configuration,
 // answers, similarity scores, and probe-accounting totals of the engine
 // LiveEngine serves from are bit-identical to a serial engine probing the
@@ -351,21 +328,6 @@ TEST_F(ShardedEngineTest, AnswersBitIdenticalUnderForcedScalarIsa) {
   ScopedIsa scalar("scalar");
   ExpectShardedMatchesSerial(*db_, *knowledge_, *options_, /*num_shards=*/3,
                              /*num_threads=*/4, /*packed=*/false);
-}
-
-TEST_F(ShardedEngineTest, ScatterThreadsDoNotChangeAnswers) {
-  const SelectionQuery probe =
-      MakeQuery({Predicate::Eq("Make", Value::Cat("Toyota"))});
-  auto expected = db_->ExecuteRows(probe);
-  ASSERT_TRUE(expected.ok());
-  ShardedEngineOptions sharding;
-  sharding.num_shards = 4;
-  sharding.scatter_threads = 3;
-  auto facade = ShardedWebDatabase::Create(Unowned(db_), sharding);
-  ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  auto actual = (*facade)->ExecuteRows(probe);
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(*actual, *expected);
 }
 
 // A delta probe through the facade equals the source's own delta at every
